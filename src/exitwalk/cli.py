@@ -15,6 +15,7 @@ import sys
 from dataclasses import asdict
 
 from . import brownian1d
+from .bessel_hitting import InversionError, SeriesTruncationError
 from .harness import (
     ExperimentConfig,
     build_identifier,
@@ -27,7 +28,7 @@ from .harness import (
     write_json,
 )
 from .samplers import RNG_ALGORITHM, RngStream
-from .walkers import precompute_table, read_table, write_table
+from .walkers import StepBudgetError, precompute_table, read_table, write_table
 
 _CLI_METHODS = {
     "woms": "woms",
@@ -285,8 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; bad input and numerical failures exit 1 with one line."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, StepBudgetError, InversionError, SeriesTruncationError) as exc:
+        print(f"exitwalk: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

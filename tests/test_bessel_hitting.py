@@ -1,4 +1,7 @@
+import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from scipy import integrate, optimize
 from scipy import special as sp
 
 from exitwalk.specfun import BesselIndex
+from exitwalk.harness import ExperimentConfig, run_experiment, run_result_document
 from exitwalk.samplers import RngStream, sample_tau_psi
 from exitwalk.bessel_hitting import (
     InversionConfig,
@@ -293,3 +297,113 @@ class TestLaplaceMonteCarloConsistency:
         expected = laplace_transform(1.0, 0.0, 1.0, BesselIndex(2))
         half_width = 3.0 * weights.std(ddof=1) / math.sqrt(n)
         assert abs(weights.mean() - expected) < half_width
+
+
+def reference_series_eval(cache, t, k):
+    """The plain formula series_eval must reproduce bit for bit."""
+    zeros, coeffs, _ = cache.terms(k)
+    rates = zeros**2 / (2.0 * cache.radius**2)
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    e = coeffs * np.exp(-np.outer(t_arr, rates))
+    tail = e.sum(axis=1)
+    pdf = (e * rates).sum(axis=1)
+    return tail, pdf
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestSeriesEvalExactness:
+    """series_eval floors its exponents for speed; the sums must not move.
+
+    The t grid reaches far beyond 600 / rates[0], where every row takes the
+    plain formula, and mixes such rows with ordinary ones in one call.
+    """
+
+    @pytest.mark.parametrize("delta", [2, 3, 5, 8])
+    def test_bit_identical_to_plain_formula(self, delta):
+        cache = SpectralSeriesCache(BesselIndex(delta), radius=1.0)
+        uniform = RngStream(404, delta).generator.uniform(cache.t_min, 5.0, 4000)
+        t = np.concatenate([np.geomspace(cache.t_min, 1e3, 4000), uniform])
+        for k in (1, 5, cache.terms_needed(cache.t_min), 60, 200):
+            tail, pdf = cache.series_eval(t, k)
+            ref_tail, ref_pdf = reference_series_eval(cache, t, k)
+            assert np.array_equal(bits(tail), bits(ref_tail)), (delta, k)
+            assert np.array_equal(bits(pdf), bits(ref_pdf)), (delta, k)
+
+    def test_scalar_and_other_radius(self):
+        cache = SpectralSeriesCache(BesselIndex(3), radius=1.7)
+        k = cache.terms_needed(cache.t_min)
+        for t in (cache.t_min, 0.3, 40.0, 400.0, 5e3):
+            got = cache.series_eval(t, k)
+            ref = reference_series_eval(cache, t, k)
+            assert bits(got[0]) == bits(ref[0]) and bits(got[1]) == bits(ref[1])
+
+    def test_rejects_empty_series(self):
+        cache = SpectralSeriesCache(BesselIndex(2), radius=1.0)
+        with pytest.raises(ValueError):
+            cache.series_eval(0.5, 0)
+
+    def test_terms_grow_consistently(self):
+        cache = SpectralSeriesCache(BesselIndex(2), radius=2.0)
+        first = cache.terms(3)
+        zeros, coeffs, rates = cache.terms(40)
+        assert len(zeros) == len(coeffs) == len(rates) == 40
+        assert np.array_equal(zeros[:3], first[0]) and np.array_equal(coeffs[:3], first[1])
+        assert np.array_equal(rates, zeros**2 / (2.0 * 2.0**2))
+
+    def test_concurrent_growth_keeps_arrays_aligned(self):
+        # Threads grow one shared cache while reading it, as harness workers do.
+        cache = SpectralSeriesCache(BesselIndex(3), radius=1.0)
+        failures = []
+
+        def reader(seed):
+            for k in RngStream(seed, 0).generator.integers(1, 64, 40):
+                zeros, coeffs, rates = cache.terms(int(k))
+                if not len(zeros) == len(coeffs) == len(rates) == k:
+                    failures.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(s,)) for s in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert failures == []
+
+
+class TestFrozenInversionOutput:
+    """Outputs frozen from the plain-formula implementation.
+
+    The constants hold for the numpy build they were captured with
+    (numpy 2.4, x86-64 with AVX-512); another np.exp implementation may
+    round a last bit differently.
+    """
+
+    @pytest.mark.parametrize(
+        "delta, digest",
+        [
+            (2, "9898bed28fc877e7673bb6a892649325f2f3a03eab9c1a120b0f99b60009739c"),
+            (3, "251a4c86e02a21f37bf0b4187f716535703079eca6beda19a004f16a6a00f055"),
+        ],
+    )
+    def test_invert_cdf_batch_digest(self, delta, digest):
+        cache = SpectralSeriesCache(BesselIndex(delta), radius=1.0)
+        u = np.clip(RngStream(2718, delta).generator.random(10**4), 1e-12, 1 - 1e-12)
+        t = invert_cdf_batch(u, cache)
+        assert hashlib.sha256(t.tobytes()).hexdigest() == digest
+
+    def test_wos_inversion_run(self):
+        config = ExperimentConfig(
+            method="wos_inversion", x0=(0.5, 0.0), epsilon=1e-5,
+            trajectories=2000, seed=41, workers=1,
+        )
+        results = run_result_document(config, run_experiment(config))["results"]
+        assert results["mean_exit_time"].hex() == "0x1.8c838bd354985p-2"
+        assert results["var_exit_time"].hex() == "0x1.fe8b3c9e7fe66p-4"

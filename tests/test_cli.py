@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from exitwalk import cli
+from exitwalk.bessel_hitting import InversionError
 from exitwalk.cli import main
 from exitwalk.brownian1d import level_hitting_pdf
 from exitwalk.walkers import read_table
@@ -44,6 +47,42 @@ class TestRunCommand:
     def test_unknown_method_rejected(self):
         with pytest.raises(SystemExit):
             run_cli("run", "--method", "teleport", "--n", "10")
+
+
+class TestErrorReporting:
+    """Failures end in one `exitwalk: error:` line and exit code 1, no traceback."""
+
+    def assert_one_line_error(self, capsys, code, fragment):
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("exitwalk: error: ") and err.count("\n") == 1
+        assert fragment in err and "Traceback" not in err
+
+    def test_start_outside_domain(self, capsys):
+        code = run_cli("run", "--method", "woms", "--x0", "2,0", "--n", "10")
+        self.assert_one_line_error(capsys, code, "x0 must lie strictly inside the domain")
+
+    def test_inversion_failure(self, monkeypatch, capsys):
+        def fail(u, cache, config=None):
+            raise InversionError("failed to bracket quantile", (0.02, 0.04))
+
+        monkeypatch.setattr("exitwalk.walkers.invert_cdf_batch", fail)
+        code = run_cli("run", "--method", "wos-inversion", "--n", "10", "--seed", "1")
+        self.assert_one_line_error(capsys, code, "failed to bracket quantile")
+
+    def test_step_budget_exceeded(self, monkeypatch, capsys):
+        run = cli.run_experiment
+        monkeypatch.setattr(
+            cli, "run_experiment", lambda config: run(dataclasses.replace(config, max_steps=1))
+        )
+        code = run_cli("run", "--method", "woms", "--n", "100", "--seed", "1")
+        self.assert_one_line_error(capsys, code, "step budget 1 exceeded")
+
+    def test_bad_table_file(self, tmp_path, capsys):
+        path = tmp_path / "junk.bin"
+        path.write_bytes(b"not a table at all, but long enough for a header")
+        code = run_cli("run", "--method", "wos-table", "--n", "10", "--table", str(path))
+        self.assert_one_line_error(capsys, code, "bad magic")
 
 
 class TestStepsCommand:
