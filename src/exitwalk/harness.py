@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 METHODS = ("woms", "wos_inversion", "wos_table", "wos_position", "euler")
+# The wos methods and the walkers.EXIT_MODES entry each one runs.
+_WOS_EXIT_MODES = {"wos_inversion": "inversion", "wos_table": "table", "wos_position": "position_only"}
 
 RESULT_SCHEMA = "exitwalk-run-v1"
 
@@ -203,9 +205,7 @@ def _run_worker(config: ExperimentConfig, worker: int, count: int, deps: WosDeps
         )
     if config.method == "euler":
         return euler_batch(x0, domain, config.h, rng, count, config.max_steps)
-    mode = {"wos_inversion": "inversion", "wos_table": "table", "wos_position": "position_only"}[
-        config.method
-    ]
+    mode = _WOS_EXIT_MODES[config.method]
     return wos_batch(x0, domain, config.epsilon, mode, deps, rng, count, config.max_steps)
 
 
@@ -216,12 +216,10 @@ def run_experiment(config: ExperimentConfig, table: Tau1Table | None = None) -> 
     wall_seconds covers the trajectory loop only.
     """
     deps = None
-    if config.method in ("wos_inversion", "wos_table", "wos_position"):
+    if config.method in _WOS_EXIT_MODES:
         if config.method == "wos_table" and table is None:
             table = read_table(config.table_path)
-        mode = {"wos_inversion": "inversion", "wos_table": "table", "wos_position": "position_only"}[
-            config.method
-        ]
+        mode = _WOS_EXIT_MODES[config.method]
         domain = SphereDomain(radius=config.radius, delta=config.delta)
         deps = WosDeps.for_mode(mode, domain, table=table)
         if config.method == "wos_inversion":

@@ -16,8 +16,17 @@ the origin:
 A naive Euler scheme (fixed step h, no boundary correction) serves as a
 distribution baseline.  Every engine exists in a scalar per-step form,
 mirroring the published step recursions draw for draw, and in a batched
-form that advances many trajectories per numpy call; both consume the same
-reproducible streams.
+form; both consume the same reproducible streams.
+
+The batched walk on moving spheres and walk on spheres are step kernels
+(positions, norms) -> (new positions, elapsed time) of one lockstep loop.
+The loop keeps the alive walkers' ids, positions, clocks and norms
+compacted: one boolean mask compresses all four when some retire, keeping
+the survivors' order, and retired rows go to the output by id.  Every alive
+walker has taken as many steps as the loop has iterations, and the norm
+of the retire test is the next step's distance.  Rows narrower than 8 are
+summed by column adds, in the left-to-right order numpy uses for them, so
+the results match the plain row-reduction formulas bit for bit.
 
 Walkers stop on the first state inside the epsilon-shell
 {L - eps <= |x| < L}; intermediate states stay strictly inside the domain.
@@ -142,6 +151,70 @@ def _project(position: np.ndarray, radius: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Lockstep loop
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=1) bit for bit, for a C-contiguous (k, w) array, w >= 2 (see module doc)."""
+    if a.shape[1] >= 8:
+        return a.sum(axis=1)
+    s = a[:, 0] + a[:, 1]
+    for j in range(2, a.shape[1]):
+        s += a[:, j]
+    return s
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=1) bit for bit, for a C-contiguous (k, delta) array."""
+    s = _row_sums(x * x)
+    return np.sqrt(s, out=s)
+
+
+def _directions(gen: np.random.Generator, k: int, delta: int) -> np.ndarray:
+    """k uniform unit vectors: one angle each for delta = 2, normalized Gaussians above."""
+    if delta == 2:
+        ang = 2.0 * math.pi * gen.random(k)
+        v = np.empty((k, 2))
+        np.cos(ang, out=v[:, 0])
+        np.sin(ang, out=v[:, 1])
+        return v
+    v = gen.standard_normal((k, delta))
+    v /= _norms(v)[:, None]
+    return v
+
+
+def _lockstep(x0, domain: SphereDomain, epsilon: float, n: int, max_steps: int, step) -> BatchResult:
+    """Advance n walkers from x0 by step(pos, norms) -> (pos, dt), which may update pos in place."""
+    _check_run_args(x0, domain, epsilon)
+    threshold = domain.radius - epsilon
+    pos = np.tile(np.asarray(x0, dtype=float), (n, 1))
+    norms, t, ids = _norms(pos), np.zeros(n), np.arange(n)
+    out = BatchResult(np.empty(n), np.empty(n, dtype=np.int64), np.empty_like(pos))
+    it = 0
+    while True:
+        done = norms >= threshold
+        if done.any():
+            fin = ids[done]
+            out.exit_positions[fin] = pos.compress(done, axis=0)
+            out.exit_times[fin] = t[done]
+            out.steps[fin] = it
+            keep = ~done
+            # compress, not pos[keep]: numpy gathers 2-D rows by mask ~10x slower
+            ids, pos, t, norms = ids[keep], pos.compress(keep, axis=0), t[keep], norms[keep]
+        if not ids.size:
+            return out
+        if it >= max_steps:
+            raise StepBudgetError(
+                f"step budget {max_steps} exceeded by {ids.size} trajectories",
+                {"alive": ids.copy(), "positions": pos.copy()},
+            )
+        it += 1
+        pos, dt = step(pos, norms)
+        t += dt
+        norms = _norms(pos)
+
+
+# ---------------------------------------------------------------------------
 # Walk on moving spheres
 
 
@@ -193,67 +266,24 @@ def woms_batch(
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> BatchResult:
     """n independent moving-sphere trajectories advanced in lockstep."""
-    _check_run_args(x0, domain, epsilon)
-    delta = domain.delta
-    nu = domain.index.nu
-    frac = domain.index.frac
+    nu, frac = domain.index.nu, domain.index.frac
     m = int(math.floor(nu)) + 2
     gen = rng.generator
 
-    x0 = np.asarray(x0, dtype=float)
-    positions = np.tile(x0, (n, 1))
-    times = np.zeros(n)
-    steps = np.zeros(n, dtype=np.int64)
-    out_pos = np.empty_like(positions)
-    out_t = np.empty(n)
-    out_s = np.empty(n, dtype=np.int64)
-
-    alive = np.arange(n)
-    threshold = domain.radius - epsilon
-    norms = np.linalg.norm(positions, axis=1)
-    _retire(alive, norms >= threshold, positions, times, steps, out_pos, out_t, out_s)
-    alive = alive[norms < threshold]
-    it = 0
-    while alive.size:
-        if it >= max_steps:
-            raise StepBudgetError(
-                f"step budget {max_steps} exceeded by {alive.size} trajectories",
-                {"alive": alive.copy(), "positions": positions[alive].copy()},
-            )
-        it += 1
-        k = alive.size
-        pos = positions[alive]
-        d = domain.radius - np.linalg.norm(pos, axis=1)
+    def step(pos, norms):
+        k = norms.size
+        d = domain.radius - norms
         t_max = gamma * gamma * d * d * math.e / (2.0 * (nu + 1.0))
-        z = -np.log(1.0 - gen.random((k, m))).sum(axis=1)
+        z = -_row_sums(np.log(1.0 - gen.random((k, m))))
         if frac != 0.0:
             g = gen.standard_normal(k)
             z = z + frac * g * g
         z /= nu + 1.0
         r = t_max * np.exp(-z)
-        disp = np.sqrt(2.0 * (nu + 1.0) * r * z)
-        if delta == 2:
-            ang = 2.0 * math.pi * gen.random(k)
-            v = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        else:
-            v = gen.standard_normal((k, delta))
-            v /= np.linalg.norm(v, axis=1, keepdims=True)
-        pos = pos + disp[:, None] * v
-        positions[alive] = pos
-        times[alive] += r
-        steps[alive] += 1
-        done = np.linalg.norm(pos, axis=1) >= threshold
-        _retire(alive, done, positions, times, steps, out_pos, out_t, out_s)
-        alive = alive[~done]
-    return BatchResult(exit_times=out_t, steps=out_s, exit_positions=out_pos)
+        pos += _directions(gen, k, domain.delta) * np.sqrt(2.0 * (nu + 1.0) * r * z)[:, None]
+        return pos, r
 
-
-def _retire(alive, done_mask, positions, times, steps, out_pos, out_t, out_s) -> None:
-    finished = alive[done_mask]
-    if finished.size:
-        out_pos[finished] = positions[finished]
-        out_t[finished] = times[finished]
-        out_s[finished] = steps[finished]
+    return _lockstep(x0, domain, epsilon, n, max_steps, step)
 
 
 def _check_run_args(x0, domain: SphereDomain, epsilon: float) -> None:
@@ -367,51 +397,18 @@ def wos_batch(
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> BatchResult:
     """n independent classical-walk trajectories advanced in lockstep."""
-    _check_run_args(x0, domain, epsilon)
     if exit_mode not in EXIT_MODES:
         raise ValueError(f"unknown exit mode {exit_mode!r}; expected one of {EXIT_MODES}")
-    delta = domain.delta
     gen = rng.generator
 
-    x0 = np.asarray(x0, dtype=float)
-    positions = np.tile(x0, (n, 1))
-    times = np.zeros(n)
-    steps = np.zeros(n, dtype=np.int64)
-    out_pos = np.empty_like(positions)
-    out_t = np.empty(n)
-    out_s = np.empty(n, dtype=np.int64)
+    def step(pos, norms):
+        r = domain.radius - norms
+        pos += _directions(gen, r.size, domain.delta) * r[:, None]
+        if exit_mode == "position_only":
+            return pos, 0.0
+        return pos, r * r * _tau1_draws(exit_mode, deps, gen, r.size)
 
-    alive = np.arange(n)
-    threshold = domain.radius - epsilon
-    norms = np.linalg.norm(positions, axis=1)
-    _retire(alive, norms >= threshold, positions, times, steps, out_pos, out_t, out_s)
-    alive = alive[norms < threshold]
-    it = 0
-    while alive.size:
-        if it >= max_steps:
-            raise StepBudgetError(
-                f"step budget {max_steps} exceeded by {alive.size} trajectories",
-                {"alive": alive.copy(), "positions": positions[alive].copy()},
-            )
-        it += 1
-        k = alive.size
-        pos = positions[alive]
-        r = domain.radius - np.linalg.norm(pos, axis=1)
-        if delta == 2:
-            ang = 2.0 * math.pi * gen.random(k)
-            v = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        else:
-            v = gen.standard_normal((k, delta))
-            v /= np.linalg.norm(v, axis=1, keepdims=True)
-        pos = pos + r[:, None] * v
-        if exit_mode != "position_only":
-            times[alive] += r * r * _tau1_draws(exit_mode, deps, gen, k)
-        positions[alive] = pos
-        steps[alive] += 1
-        done = np.linalg.norm(pos, axis=1) >= threshold
-        _retire(alive, done, positions, times, steps, out_pos, out_t, out_s)
-        alive = alive[~done]
-    return BatchResult(exit_times=out_t, steps=out_s, exit_positions=out_pos)
+    return _lockstep(x0, domain, epsilon, n, max_steps, step)
 
 
 # ---------------------------------------------------------------------------

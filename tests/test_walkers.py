@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 
@@ -156,6 +157,107 @@ class TestWomsBatch:
         batch = woms_batch(np.zeros(delta), dom, 1e-4, 0.99, RngStream(9, delta), 100_000)
         tol = 3.0 * batch.exit_times.std(ddof=1) / math.sqrt(batch.exit_times.size)
         assert abs(batch.exit_times.mean() - 1.0 / delta) < tol
+
+
+def _digest(res: BatchResult) -> str:
+    h = hashlib.sha256()
+    for a in (res.exit_times, res.steps, res.exit_positions):
+        h.update(a.view(np.uint8))
+    return h.hexdigest()
+
+
+def _start(delta: int) -> np.ndarray:
+    x0 = np.zeros(delta)
+    x0[0] = 0.5
+    return x0
+
+
+class TestFrozenBatchOutputs:
+    """SHA-256 of exit_times, steps and exit_positions of fixed-seed batches.
+
+    Captured from the gather/scatter walkers that the compacted lockstep
+    loop replaced, so they pin its bit-identity.  They hold for this
+    numpy build and CPU; another libm may round a log, exp or sin in the
+    last bit.  delta = 10 sums its squared norms over rows of 8 or more,
+    which numpy adds pairwise, not left to right.
+    """
+
+    @pytest.mark.parametrize(
+        "delta, digest",
+        [
+            (2, "76db6ad8d94e11b2206fbae80f50a6b59683d8b771b6d17020d35d82218ce50d"),
+            (3, "d841b1e13093d46b5adc76dd531b6cabdfc6295381b37efa762d5ad8bc199873"),
+            (5, "b82a32d7bc21c90e8655e9e5e3be4c1403c6aa173c3ed91186728c55494c3af8"),
+            (10, "34ee44ddcdae558aadd7b1d36d9b264a80b7409bfb41ab0941e8beb1ac2fe571"),
+        ],
+    )
+    def test_woms(self, delta, digest):
+        res = woms_batch(_start(delta), SphereDomain(1.0, delta), 1e-5, 0.99, RngStream(314, delta), 20_000)
+        assert _digest(res) == digest
+
+    @pytest.mark.parametrize(
+        "mode, delta, n, digest",
+        [
+            ("position_only", 2, 20000, "dd42ff7dab44fc4286db55ce465987339e9f0d8aa4968ff176fa35cc8dd2a862"),
+            ("position_only", 3, 20000, "dfd7831d870549d867c0a6848ea0dfadbe15d26a69a3fc55029dda89dd1e7f05"),
+            ("table", 2, 20000, "c090d15629097f4c9cc7e00af3de4e32f27e48a4c64ca919ace38eee694b3056"),
+            ("table", 3, 20000, "3936ba88db63e2adcca81c2a9fa28ef1dd0a0ba2526f7699b0fc4a16f1d2439b"),
+            ("inversion", 2, 5000, "5c85c533b4a9dd07ad9ba9ae24797c38fd96342e50bcec9dcff1bb644201f3f4"),
+            ("inversion", 3, 5000, "d77e48a197b7dfa0e8b7af389777ff812e5d26583e6d7fe719f60317aa609575"),
+        ],
+    )
+    def test_wos(self, mode, delta, n, digest):
+        dom = SphereDomain(1.0, delta)
+        table = Tau1Table(delta=delta, samples=np.linspace(0.02, 1.5, 997), provenance="inversion")
+        deps = WosDeps.for_mode(mode, dom, table=table)
+        res = wos_batch(_start(delta), dom, 1e-5, mode, deps, RngStream(271, delta), n)
+        assert _digest(res) == digest
+
+
+def _batch(walk: str, x0, epsilon: float, rng: RngStream, n: int, max_steps: int = 10**6) -> BatchResult:
+    dom = SphereDomain(1.0, len(x0))
+    if walk == "woms":
+        return woms_batch(x0, dom, epsilon, 0.99, rng, n, max_steps)
+    deps = WosDeps.for_mode("position_only", dom)
+    return wos_batch(x0, dom, epsilon, "position_only", deps, rng, n, max_steps)
+
+
+@pytest.mark.parametrize("walk", ["woms", "wos"])
+class TestLockstepLoop:
+    def test_start_in_shell_retires_at_once(self, walk):
+        x0 = np.array([0.0, 1.0 - 1e-6, 0.0])
+        res = _batch(walk, x0, 1e-5, RngStream(40), 5)
+        assert res.steps.tolist() == [0] * 5
+        assert res.exit_times.tolist() == [0.0] * 5
+        assert np.array_equal(res.exit_positions, np.tile(x0, (5, 1)))
+
+    def test_single_trajectory_matches_scalar_runner(self, walk):
+        x0 = np.array([0.5, 0.0])
+        res = _batch(walk, x0, 1e-4, RngStream(41), 1)
+        assert res.exit_times.shape == res.steps.shape == (1,)
+        assert res.exit_positions.shape == (1, 2)
+        if walk == "woms":
+            one = woms_run(x0, DISK, 1e-4, 0.99, RngStream(41))
+        else:
+            deps = WosDeps.for_mode("position_only", DISK)
+            one = wos_run(x0, DISK, 1e-4, "position_only", deps, RngStream(41))
+        assert res.steps[0] == one.steps > 0
+        assert res.exit_times[0] == pytest.approx(one.exit_time, rel=1e-9)
+        np.testing.assert_allclose(res.exit_positions[0], one.exit_position, rtol=1e-9)
+
+    @pytest.mark.parametrize("max_steps", [1, 2])
+    def test_step_budget_reports_alive_ids_and_positions(self, walk, max_steps):
+        # a wide shell retires some walkers within the budget, so the alive
+        # ids are a proper subset; the full run from the same stream shows which
+        x0 = np.array([0.5, 0.0])
+        full = _batch(walk, x0, 0.2, RngStream(42), 400)
+        with pytest.raises(StepBudgetError) as err:
+            _batch(walk, x0, 0.2, RngStream(42), 400, max_steps=max_steps)
+        alive, positions = err.value.state["alive"], err.value.state["positions"]
+        assert 0 < alive.size < 400
+        assert np.array_equal(alive, np.flatnonzero(full.steps > max_steps))
+        assert positions.shape == (alive.size, 2)
+        assert np.all(np.linalg.norm(positions, axis=1) < 0.8)
 
 
 class TestWosStep:
