@@ -37,18 +37,15 @@ from .brownian1d import (
     volterra_apply,
 )
 from .walkers import (
-    ExitSample,
+    BatchResult,
     SphereDomain,
     Tau1Table,
-    WalkState,
     WosDeps,
-    euler_run,
+    euler_batch,
     precompute_table,
     read_table,
-    woms_run,
-    woms_step,
-    wos_run,
-    wos_step,
+    woms_batch,
+    wos_batch,
     write_table,
 )
 from .harness import (

@@ -214,6 +214,11 @@ def _apply_operator(f_nodes, h: float, upper: float, j_cells: int, boundary: Bou
     return total
 
 
+def _next_term(q_prev, h: float, nodes, boundary: Boundary1D) -> np.ndarray:
+    """q_{k+1} = P q_k at every midpoint node, each from the nodes before it."""
+    return np.array([_apply_operator(q_prev, h, s, j, boundary) for j, s in enumerate(nodes)])
+
+
 def volterra_apply(f_values, t: float, boundary: Boundary1D) -> float:
     """(P_t f) for f tabulated at the midpoints (i + 1/2) t/m, i = 0..m-1.
 
@@ -250,9 +255,7 @@ def durbin_series_table(boundary: Boundary1D, t: float, terms: int, grid: int):
         return nodes, q1_nodes, series
     q_prev = q1_nodes
     for k in range(2, terms + 1):
-        q_next = np.array(
-            [_apply_operator(q_prev, h, nodes[j], j, boundary) for j in range(grid)]
-        )
+        q_next = _next_term(q_prev, h, nodes, boundary)
         series += (-1.0) ** (k - 1) * q_next
         q_prev = q_next
     return nodes, q1_nodes, series
@@ -273,7 +276,5 @@ def durbin_pdf(t: float, boundary: Boundary1D, terms: int, grid: int) -> float:
     for k in range(2, terms + 1):
         value += (-1.0) ** (k - 1) * _apply_operator(q_prev, h, t, grid, boundary)
         if k < terms:
-            q_prev = np.array(
-                [_apply_operator(q_prev, h, nodes[j], j, boundary) for j in range(grid)]
-            )
+            q_prev = _next_term(q_prev, h, nodes, boundary)
     return value

@@ -17,6 +17,7 @@ from dataclasses import asdict
 from . import brownian1d
 from .bessel_hitting import InversionError, SeriesTruncationError
 from .harness import (
+    METHODS,
     ExperimentConfig,
     build_identifier,
     format_real,
@@ -30,13 +31,8 @@ from .harness import (
 from .samplers import RNG_ALGORITHM, RngStream
 from .walkers import StepBudgetError, precompute_table, read_table, write_table
 
-_CLI_METHODS = {
-    "woms": "woms",
-    "wos-inversion": "wos_inversion",
-    "wos-table": "wos_table",
-    "wos-position": "wos_position",
-    "euler": "euler",
-}
+# The CLI spells each harness method name with hyphens.
+_CLI_CHOICES = sorted(m.replace("_", "-") for m in METHODS)
 
 
 def _parse_x0(text: str) -> tuple[float, ...]:
@@ -87,7 +83,7 @@ def _config_from_args(args, method: str, epsilon: float) -> ExperimentConfig:
 
 
 def _cmd_run(args) -> int:
-    config = _config_from_args(args, _CLI_METHODS[args.method], args.eps)
+    config = _config_from_args(args, args.method.replace("-", "_"), args.eps)
     stats = run_experiment(config)
     print(f"method={args.method} n={stats.n} seed={config.seed} rng={RNG_ALGORITHM}")
     print(
@@ -120,7 +116,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_steps(args) -> int:
-    method = _CLI_METHODS[args.method]
+    method = args.method.replace("-", "_")
     base = _config_from_args(args, method, args.eps_list[0])
     table = read_table(args.table) if args.table else None
     sweep = step_scaling_experiment(method, base, args.eps_list, table=table)
@@ -161,17 +157,15 @@ def _cmd_steps(args) -> int:
 def _cmd_timing(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
-        if m not in _CLI_METHODS:
+        if m not in _CLI_CHOICES:
             raise SystemExit(f"unknown method {m!r}")
-    base = _config_from_args(args, _CLI_METHODS[methods[0]], args.eps_list[0])
+    names = [m.replace("-", "_") for m in methods]
+    base = _config_from_args(args, names[0], args.eps_list[0])
     table = read_table(args.table) if args.table else None
-    rows, fits = timing_experiment(
-        [_CLI_METHODS[m] for m in methods], base, args.eps_list, table=table
-    )
-    to_cli = {v: k for k, v in _CLI_METHODS.items()}
+    rows, fits = timing_experiment(names, base, args.eps_list, table=table)
     for row in rows:
-        row["method"] = to_cli[row["method"]]
-    fits = {to_cli[m]: f for m, f in fits.items()}
+        row["method"] = row["method"].replace("_", "-")
+    fits = {m.replace("_", "-"): f for m, f in fits.items()}
     header = ["method", "eps", "abs_ln_eps", "seconds"]
     csv_rows = [(r["method"], r["eps"], r["abs_ln_eps"], r["seconds"]) for r in rows]
     if args.csv:
@@ -247,13 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one Monte Carlo experiment")
-    p_run.add_argument("--method", choices=sorted(_CLI_METHODS), required=True)
+    p_run.add_argument("--method", choices=_CLI_CHOICES, required=True)
     p_run.add_argument("--eps", type=float, default=1e-5, help="absorption shell width")
     _add_common_run_flags(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_steps = sub.add_parser("steps", help="mean steps versus |ln eps|")
-    p_steps.add_argument("--method", choices=sorted(_CLI_METHODS), required=True)
+    p_steps.add_argument("--method", choices=_CLI_CHOICES, required=True)
     p_steps.add_argument("--eps-list", type=_parse_eps_list, required=True)
     _add_common_run_flags(p_steps)
     p_steps.set_defaults(func=_cmd_steps)

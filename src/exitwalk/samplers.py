@@ -63,6 +63,27 @@ def sample_gaussian(rng: RngStream, size=None):
     return float(out) if size is None else out
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=1) bit for bit, for a C-contiguous (k, w) array, w >= 2.
+
+    numpy adds rows narrower than 8 left to right; column adds in that order
+    give the same bits with less per-call overhead.  Wider rows are summed
+    pairwise, so they stay with numpy.
+    """
+    if a.shape[1] >= 8:
+        return a.sum(axis=1)
+    s = a[:, 0] + a[:, 1]
+    for j in range(2, a.shape[1]):
+        s += a[:, j]
+    return s
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=1) bit for bit, for a C-contiguous (k, delta) array."""
+    s = _row_sums(x * x)
+    return np.sqrt(s, out=s)
+
+
 def sample_unit_direction(delta: int, rng: RngStream, size: int | None = None):
     """Uniform direction(s) on the unit sphere in dimension delta >= 2.
 
@@ -74,18 +95,19 @@ def sample_unit_direction(delta: int, rng: RngStream, size: int | None = None):
         raise ValueError(f"delta must be >= 2, got {delta}")
     n = 1 if size is None else size
     if delta == 2:
-        w = rng.generator.random(n)
-        ang = 2.0 * math.pi * w
-        v = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+        ang = 2.0 * math.pi * rng.generator.random(n)
+        v = np.empty((n, 2))
+        np.cos(ang, out=v[:, 0])
+        np.sin(ang, out=v[:, 1])
     else:
-        g = rng.generator.standard_normal((n, delta))
-        norms = np.linalg.norm(g, axis=-1, keepdims=True)
+        v = rng.generator.standard_normal((n, delta))
+        norms = _norms(v)
         # A zero Gaussian vector has probability 0; redraw defensively.
-        while np.any(norms == 0.0):
-            bad = norms[:, 0] == 0.0
-            g[bad] = rng.generator.standard_normal((int(bad.sum()), delta))
-            norms = np.linalg.norm(g, axis=-1, keepdims=True)
-        v = g / norms
+        while not norms.all():
+            bad = norms == 0.0
+            v[bad] = rng.generator.standard_normal((int(bad.sum()), delta))
+            norms = _norms(v)
+        v /= norms[:, None]
     return v[0] if size is None else v
 
 

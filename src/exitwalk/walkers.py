@@ -14,19 +14,18 @@ the origin:
   numerical CDF inversion or by uniform lookup in a precomputed table.
 
 A naive Euler scheme (fixed step h, no boundary correction) serves as a
-distribution baseline.  Every engine exists in a scalar per-step form,
-mirroring the published step recursions draw for draw, and in a batched
-form; both consume the same reproducible streams.
+distribution baseline.
 
-The batched walk on moving spheres and walk on spheres are step kernels
-(positions, norms) -> (new positions, elapsed time) of one lockstep loop.
-The loop keeps the alive walkers' ids, positions, clocks and norms
-compacted: one boolean mask compresses all four when some retire, keeping
-the survivors' order, and retired rows go to the output by id.  Every alive
-walker has taken as many steps as the loop has iterations, and the norm
-of the retire test is the next step's distance.  Rows narrower than 8 are
-summed by column adds, in the left-to-right order numpy uses for them, so
-the results match the plain row-reduction formulas bit for bit.
+Both walks are step kernels (positions, norms) -> (new positions, elapsed
+time) of one lockstep loop that advances n independent walkers; a single
+trajectory is the same loop with n = 1.  The loop keeps the alive walkers'
+ids, positions, clocks and norms compacted: one boolean mask compresses all
+four when some retire, keeping the survivors' order, and retired rows go to
+the output by id.  Every alive walker has taken as many steps as the loop
+has iterations, and the norm of the retire test is the next step's
+distance.  Rows narrower than 8 are summed by column adds, in the
+left-to-right order numpy uses for them, so the results match the plain
+row-reduction formulas bit for bit.
 
 Walkers stop on the first state inside the epsilon-shell
 {L - eps <= |x| < L}; intermediate states stay strictly inside the domain.
@@ -41,31 +40,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .specfun import BesselIndex
-from .samplers import RngStream, sample_tau_psi, sample_unit_direction
-from .bessel_hitting import (
-    InversionConfig,
-    SpectralSeriesCache,
-    moving_sphere_param_a,
-    psi as boundary_psi,
-    MovingBoundary,
-    invert_cdf_batch,
-)
+from .samplers import RngStream, _norms, _row_sums, sample_unit_direction
+from .bessel_hitting import InversionConfig, SpectralSeriesCache, invert_cdf_batch
 
 __all__ = [
     "SphereDomain",
-    "WalkState",
-    "ExitSample",
     "BatchResult",
     "StepBudgetError",
     "WosDeps",
     "EXIT_MODES",
-    "woms_step",
-    "woms_run",
     "woms_batch",
-    "wos_step",
-    "wos_run",
     "wos_batch",
-    "euler_run",
     "euler_batch",
     "Tau1Table",
     "precompute_table",
@@ -93,33 +78,6 @@ class SphereDomain:
     def index(self) -> BesselIndex:
         return BesselIndex(self.delta)
 
-    def distance_to_boundary(self, position: np.ndarray) -> float:
-        return self.radius - float(np.linalg.norm(position))
-
-
-@dataclass
-class WalkState:
-    """Current position, elapsed clock and step count of one walker."""
-
-    position: np.ndarray
-    elapsed: float = 0.0
-    steps: int = 0
-
-
-@dataclass(frozen=True)
-class ExitSample:
-    """Outcome of one trajectory.
-
-    exit_position is the raw in-shell (or, for Euler, overshot-then-
-    projected) position; projected_position is its radial projection onto
-    the sphere, which is what boundary-function estimates should use.
-    """
-
-    exit_position: np.ndarray
-    exit_time: float
-    steps: int
-    projected_position: np.ndarray
-
 
 @dataclass
 class BatchResult:
@@ -136,51 +94,15 @@ class BatchResult:
 
 
 class StepBudgetError(RuntimeError):
-    """A trajectory exceeded its step budget; carries the partial state."""
+    """Trajectories exceeded their step budget; state holds the alive ids and positions."""
 
     def __init__(self, message: str, state):
         super().__init__(message)
         self.state = state
 
 
-def _project(position: np.ndarray, radius: float) -> np.ndarray:
-    norm = float(np.linalg.norm(position))
-    if norm == 0.0:
-        raise ValueError("cannot project the origin onto the sphere")
-    return position * (radius / norm)
-
-
 # ---------------------------------------------------------------------------
 # Lockstep loop
-
-
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=1) bit for bit, for a C-contiguous (k, w) array, w >= 2 (see module doc)."""
-    if a.shape[1] >= 8:
-        return a.sum(axis=1)
-    s = a[:, 0] + a[:, 1]
-    for j in range(2, a.shape[1]):
-        s += a[:, j]
-    return s
-
-
-def _norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(x, axis=1) bit for bit, for a C-contiguous (k, delta) array."""
-    s = _row_sums(x * x)
-    return np.sqrt(s, out=s)
-
-
-def _directions(gen: np.random.Generator, k: int, delta: int) -> np.ndarray:
-    """k uniform unit vectors: one angle each for delta = 2, normalized Gaussians above."""
-    if delta == 2:
-        ang = 2.0 * math.pi * gen.random(k)
-        v = np.empty((k, 2))
-        np.cos(ang, out=v[:, 0])
-        np.sin(ang, out=v[:, 1])
-        return v
-    v = gen.standard_normal((k, delta))
-    v /= _norms(v)[:, None]
-    return v
 
 
 def _lockstep(x0, domain: SphereDomain, epsilon: float, n: int, max_steps: int, step) -> BatchResult:
@@ -218,44 +140,6 @@ def _lockstep(x0, domain: SphereDomain, epsilon: float, n: int, max_steps: int, 
 # Walk on moving spheres
 
 
-def woms_step(state: WalkState, domain: SphereDomain, gamma: float, rng: RngStream) -> WalkState:
-    """One moving-sphere step: jump psi(R) in a uniform direction, advance by R."""
-    d = domain.distance_to_boundary(state.position)
-    a = moving_sphere_param_a(d, gamma, domain.index)
-    r = sample_tau_psi(a, domain.index, rng)
-    v = sample_unit_direction(domain.delta, rng)
-    displacement = boundary_psi(r, MovingBoundary(a, domain.index))
-    return WalkState(
-        position=state.position + displacement * v,
-        elapsed=state.elapsed + r,
-        steps=state.steps + 1,
-    )
-
-
-def woms_run(
-    x0,
-    domain: SphereDomain,
-    epsilon: float,
-    gamma: float,
-    rng: RngStream,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> ExitSample:
-    """Iterate woms_step until the walker enters the epsilon-shell."""
-    _check_run_args(x0, domain, epsilon)
-    state = WalkState(position=np.array(x0, dtype=float))
-    threshold = domain.radius - epsilon
-    while float(np.linalg.norm(state.position)) < threshold:
-        if state.steps >= max_steps:
-            raise StepBudgetError(f"step budget {max_steps} exceeded", state)
-        state = woms_step(state, domain, gamma, rng)
-    return ExitSample(
-        exit_position=state.position,
-        exit_time=state.elapsed,
-        steps=state.steps,
-        projected_position=_project(state.position, domain.radius),
-    )
-
-
 def woms_batch(
     x0,
     domain: SphereDomain,
@@ -280,7 +164,7 @@ def woms_batch(
             z = z + frac * g * g
         z /= nu + 1.0
         r = t_max * np.exp(-z)
-        pos += _directions(gen, k, domain.delta) * np.sqrt(2.0 * (nu + 1.0) * r * z)[:, None]
+        pos += sample_unit_direction(domain.delta, rng, k) * np.sqrt(2.0 * (nu + 1.0) * r * z)[:, None]
         return pos, r
 
     return _lockstep(x0, domain, epsilon, n, max_steps, step)
@@ -325,67 +209,6 @@ class WosDeps:
         return deps
 
 
-def _tau1_draws(exit_mode: str, deps: WosDeps, gen: np.random.Generator, size: int) -> np.ndarray:
-    if exit_mode == "inversion":
-        u = gen.random(size)
-        u = np.clip(u, 1e-300, np.nextafter(1.0, 0.0))
-        return invert_cdf_batch(u, deps.cache, deps.inversion)
-    if exit_mode == "table":
-        if deps.table is None:
-            raise ValueError("table exit mode requires a loaded Tau1Table")
-        idx = gen.integers(0, deps.table.count, size)
-        return deps.table.samples[idx]
-    raise ValueError(f"unknown exit mode {exit_mode!r}")
-
-
-def wos_step(
-    state: WalkState,
-    domain: SphereDomain,
-    exit_mode: str,
-    deps: WosDeps,
-    rng: RngStream,
-) -> WalkState:
-    """One classical step: uniform point on the largest inscribed sphere.
-
-    The elapsed time grows by r^2 * tau_1 (inversion or table mode) because
-    the exit time of a sphere of radius r is r^2 times the unit-sphere one;
-    position_only mode leaves the clock untouched.
-    """
-    if exit_mode not in EXIT_MODES:
-        raise ValueError(f"unknown exit mode {exit_mode!r}; expected one of {EXIT_MODES}")
-    r = domain.distance_to_boundary(state.position)
-    v = sample_unit_direction(domain.delta, rng)
-    elapsed = state.elapsed
-    if exit_mode != "position_only":
-        elapsed += r * r * float(_tau1_draws(exit_mode, deps, rng.generator, 1)[0])
-    return WalkState(position=state.position + r * v, elapsed=elapsed, steps=state.steps + 1)
-
-
-def wos_run(
-    x0,
-    domain: SphereDomain,
-    epsilon: float,
-    exit_mode: str,
-    deps: WosDeps,
-    rng: RngStream,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> ExitSample:
-    """Iterate wos_step until the walker enters the epsilon-shell."""
-    _check_run_args(x0, domain, epsilon)
-    state = WalkState(position=np.array(x0, dtype=float))
-    threshold = domain.radius - epsilon
-    while float(np.linalg.norm(state.position)) < threshold:
-        if state.steps >= max_steps:
-            raise StepBudgetError(f"step budget {max_steps} exceeded", state)
-        state = wos_step(state, domain, exit_mode, deps, rng)
-    return ExitSample(
-        exit_position=state.position,
-        exit_time=state.elapsed,
-        steps=state.steps,
-        projected_position=_project(state.position, domain.radius),
-    )
-
-
 def wos_batch(
     x0,
     domain: SphereDomain,
@@ -396,56 +219,38 @@ def wos_batch(
     n: int,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> BatchResult:
-    """n independent classical-walk trajectories advanced in lockstep."""
+    """n independent classical-walk trajectories advanced in lockstep.
+
+    Each step jumps to a uniform point on the largest inscribed sphere.  The
+    elapsed time grows by r^2 * tau_1 (inversion or table mode) because the
+    exit time of a sphere of radius r is r^2 times the unit-sphere one;
+    position_only mode leaves the clock untouched.
+    """
     if exit_mode not in EXIT_MODES:
         raise ValueError(f"unknown exit mode {exit_mode!r}; expected one of {EXIT_MODES}")
+    if exit_mode == "inversion" and deps.cache is None:
+        raise ValueError("inversion exit mode requires a SpectralSeriesCache")
+    if exit_mode == "table" and deps.table is None:
+        raise ValueError("table exit mode requires a loaded Tau1Table")
     gen = rng.generator
 
     def step(pos, norms):
         r = domain.radius - norms
-        pos += _directions(gen, r.size, domain.delta) * r[:, None]
+        pos += sample_unit_direction(domain.delta, rng, r.size) * r[:, None]
         if exit_mode == "position_only":
             return pos, 0.0
-        return pos, r * r * _tau1_draws(exit_mode, deps, gen, r.size)
+        if exit_mode == "inversion":
+            u = np.clip(gen.random(r.size), 1e-300, np.nextafter(1.0, 0.0))
+            tau1 = invert_cdf_batch(u, deps.cache, deps.inversion)
+        else:
+            tau1 = deps.table.samples[gen.integers(0, deps.table.count, r.size)]
+        return pos, r * r * tau1
 
     return _lockstep(x0, domain, epsilon, n, max_steps, step)
 
 
 # ---------------------------------------------------------------------------
 # Naive Euler baseline
-
-
-def euler_run(
-    x0,
-    domain: SphereDomain,
-    h: float,
-    rng: RngStream,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> ExitSample:
-    """Fixed-step Euler walk: X += sqrt(h) G until |X| >= L, no boundary correction."""
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (domain.delta,):
-        raise ValueError(f"x0 must have shape ({domain.delta},), got {x0.shape}")
-    state = WalkState(position=np.array(x0, dtype=float))
-    sqrt_h = math.sqrt(h)
-    while float(np.linalg.norm(state.position)) < domain.radius:
-        if state.steps >= max_steps:
-            raise StepBudgetError(f"step budget {max_steps} exceeded", state)
-        g = rng.generator.standard_normal(domain.delta)
-        state = WalkState(
-            position=state.position + sqrt_h * g,
-            elapsed=state.elapsed + h,
-            steps=state.steps + 1,
-        )
-    projected = _project(state.position, domain.radius)
-    return ExitSample(
-        exit_position=projected,
-        exit_time=state.elapsed,
-        steps=state.steps,
-        projected_position=projected,
-    )
 
 
 def euler_batch(
@@ -460,7 +265,9 @@ def euler_batch(
 
     Steps are generated in blocks (cumulative sums of Gaussian increments,
     first-crossing scan per block); for small h this trades a few wasted
-    post-crossing draws for far fewer passes over the batch.
+    post-crossing draws for far fewer passes over the batch.  Every alive
+    walker has taken the same number of steps, and no block runs past
+    max_steps.
     """
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
@@ -470,7 +277,6 @@ def euler_batch(
     gen = rng.generator
     delta = domain.delta
     positions = np.tile(x0, (n, 1))
-    steps = np.zeros(n, dtype=np.int64)
     out_pos = np.empty_like(positions)
     out_s = np.empty(n, dtype=np.int64)
     sqrt_h = math.sqrt(h)
@@ -484,14 +290,15 @@ def euler_batch(
         out_pos[idx] = positions[idx] * (domain.radius / norms[done, None])
         out_s[idx] = 0
     alive = alive[~done]
+    taken = 0
     while alive.size:
-        if int(steps[alive].min()) >= max_steps:
+        if taken >= max_steps:
             raise StepBudgetError(
                 f"step budget {max_steps} exceeded by {alive.size} trajectories",
                 {"alive": alive.copy(), "positions": positions[alive].copy()},
             )
         k = alive.size
-        m = int(np.clip(block_budget // (k * delta), 1, 1024))
+        m = min(int(np.clip(block_budget // (k * delta), 1, 1024)), max_steps - taken)
         block = gen.standard_normal((k, m, delta))
         np.cumsum(block, axis=1, out=block)
         block *= sqrt_h
@@ -504,10 +311,10 @@ def euler_batch(
             hit_pos = block[has_hit, first[has_hit]]
             hit_norms = np.linalg.norm(hit_pos, axis=1, keepdims=True)
             out_pos[fin] = hit_pos * (domain.radius / hit_norms)
-            out_s[fin] = steps[fin] + first[has_hit] + 1
+            out_s[fin] = taken + first[has_hit] + 1
         survivors = alive[~has_hit]
         positions[survivors] = block[~has_hit, -1]
-        steps[survivors] += m
+        taken += m
         alive = survivors
     return BatchResult(exit_times=h * out_s.astype(float), steps=out_s, exit_positions=out_pos)
 

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -72,6 +73,26 @@ class TestUnitDirection:
     def test_rejects_low_dimension(self):
         with pytest.raises(ValueError):
             sample_unit_direction(1, RngStream(1))
+
+    def test_zero_gaussian_vector_is_redrawn(self):
+        class FirstRowZero:
+            """Gaussians whose first call returns a zero first row."""
+
+            def __init__(self):
+                self.inner = np.random.default_rng(3)
+                self.calls = 0
+
+            def standard_normal(self, size):
+                out = self.inner.standard_normal(size)
+                if self.calls == 0:
+                    out[0] = 0.0
+                self.calls += 1
+                return out
+
+        rng = SimpleNamespace(generator=FirstRowZero())
+        v = sample_unit_direction(3, rng, size=4)
+        assert rng.generator.calls == 2
+        assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) < 1e-14
 
 
 class TestTauPsi:

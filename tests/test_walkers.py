@@ -18,31 +18,88 @@ from exitwalk.bessel_hitting import (
 from exitwalk.walkers import (
     EXIT_MODES,
     BatchResult,
-    ExitSample,
     SphereDomain,
     StepBudgetError,
     Tau1Table,
-    WalkState,
     WosDeps,
     euler_batch,
-    euler_run,
     precompute_table,
     read_table,
     woms_batch,
-    woms_run,
-    woms_step,
     wos_batch,
-    wos_run,
-    wos_step,
     write_table,
 )
 
 DISK = SphereDomain(radius=1.0, delta=2)
 
 
+def _replay_disk(x0, epsilon: float, rng: RngStream, step):
+    """Iterate step(x, rng) -> (x, dt) from x0 until |x| >= 1 - epsilon.
+
+    A one-walker reference runner for the unit disk: each test's step
+    redraws the kernel's variates in the kernel's order from its own copy
+    of the stream.  Returns (steps, elapsed time, exit position).
+    """
+    x, t, steps = np.array(x0, dtype=float), 0.0, 0
+    while np.linalg.norm(x) < 1.0 - epsilon:
+        x, dt = step(x, rng)
+        assert np.linalg.norm(x) < 1.0
+        t += dt
+        steps += 1
+    return steps, t, x
+
+
+def _assert_replayed(res: BatchResult, replay) -> None:
+    steps, t, x = replay
+    assert res.steps.tolist() == [steps]
+    assert steps > 0
+    assert res.exit_times[0] == pytest.approx(t, rel=1e-12)
+    assert res.exit_positions[0] == pytest.approx(x, rel=1e-12)
+
+
+def _unit_angle(rng: RngStream) -> np.ndarray:
+    w = rng.generator.random()
+    return np.array([math.cos(2 * math.pi * w), math.sin(2 * math.pi * w)])
+
+
+def _woms_psi_step(gamma: float):
+    """A moving-sphere step built from moving_sphere_param_a and psi."""
+
+    def step(x, rng):
+        d = 1.0 - np.linalg.norm(x)
+        a = moving_sphere_param_a(d, gamma, DISK.index)
+        u, v = rng.uniform_oc((1, 2))[0]
+        r = a * u * v
+        disp = psi(r, MovingBoundary(a, DISK.index))
+        assert disp <= gamma * d
+        return x + disp * _unit_angle(rng), r
+
+    return step
+
+
+def _inscribed_step(exit_mode: str, cache=None):
+    """A classical step: the direction angle, then (inversion) one quantile."""
+
+    def step(x, rng):
+        r = 1.0 - np.linalg.norm(x)
+        x = x + r * _unit_angle(rng)
+        if exit_mode == "position_only":
+            return x, 0.0
+        u = float(np.clip(rng.generator.random(), 1e-300, np.nextafter(1.0, 0.0)))
+        return x, r * r * invert_cdf(u, cache)
+
+    return step
+
+
 class TestSphereDomain:
     def test_distance(self):
-        assert DISK.distance_to_boundary(np.array([0.6, 0.0])) == pytest.approx(0.4)
+        # a walk-on-spheres step jumps exactly the distance radius - |x| to the boundary
+        dom = SphereDomain(radius=2.0, delta=2)
+        x0 = np.array([0.6, 0.0])
+        with pytest.raises(StepBudgetError) as err:
+            wos_batch(x0, dom, 1e-5, "position_only", WosDeps(), RngStream(1), 50, max_steps=1)
+        jumps = np.linalg.norm(err.value.state["positions"] - x0, axis=1)
+        assert jumps == pytest.approx(np.full(jumps.size, 1.4), rel=1e-14)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -53,96 +110,81 @@ class TestSphereDomain:
 
 class TestWomsStep:
     def test_displacement_is_psi_of_elapsed_increment(self):
-        state = WalkState(position=np.array([0.3, 0.1]))
-        rng = RngStream(5, 1)
-        new = woms_step(state, DISK, 0.99, rng)
-        d = DISK.distance_to_boundary(state.position)
-        a = moving_sphere_param_a(d, 0.99, DISK.index)
-        r = new.elapsed - state.elapsed
-        expected = psi(r, MovingBoundary(a, DISK.index))
-        assert np.linalg.norm(new.position - state.position) == pytest.approx(expected, rel=1e-12)
-        assert expected <= 0.99 * d
-        assert new.steps == 1
+        x0 = np.array([0.3, 0.1])
+        res = woms_batch(x0, DISK, 1e-4, 0.99, RngStream(5, 1), 1)
+        _assert_replayed(res, _replay_disk(x0, 1e-4, RngStream(5, 1), _woms_psi_step(0.99)))
 
     def test_dimension_two_reduction_replays_three_uniforms(self):
-        state = WalkState(position=np.array([0.2, -0.4]))
-        rng = RngStream(8, 3)
-        new = woms_step(state, DISK, 0.9, rng)
+        def step(x, rng):
+            u, v = rng.uniform_oc((1, 2))[0]
+            d = 1.0 - np.linalg.norm(x)
+            a = 0.9**2 * math.e / 2.0 * d * d
+            r = a * u * v
+            return x + math.sqrt(2.0 * r * math.log(a / r)) * _unit_angle(rng), r
 
-        replay = RngStream(8, 3)
-        u, v = replay.uniform_oc((1, 2))[0]
-        w = replay.generator.random()
-        d = DISK.distance_to_boundary(state.position)
-        a = 0.9**2 * math.e / 2.0 * d * d
-        r = a * u * v
-        disp = math.sqrt(2.0 * r * math.log(a / r))
-        expected = state.position + disp * np.array([math.cos(2 * math.pi * w), math.sin(2 * math.pi * w)])
-        assert new.position == pytest.approx(expected, rel=1e-12)
-        assert new.elapsed == pytest.approx(r, rel=1e-12)
+        x0 = np.array([0.2, -0.4])
+        res = woms_batch(x0, DISK, 1e-4, 0.9, RngStream(8, 3), 1)
+        _assert_replayed(res, _replay_disk(x0, 1e-4, RngStream(8, 3), step))
 
     def test_small_gamma_caps_displacement(self):
-        rng = RngStream(9)
-        state = WalkState(position=np.array([0.5, 0.0]))
-        for _ in range(200):
-            new = woms_step(state, DISK, 0.01, rng)
-            d = DISK.distance_to_boundary(state.position)
-            assert np.linalg.norm(new.position - state.position) <= 0.01 * d + 1e-15
+        # 200 first steps from one state, as the budget stops every walker after one
+        x0 = np.array([0.5, 0.0])
+        with pytest.raises(StepBudgetError) as err:
+            woms_batch(x0, DISK, 1e-4, 0.01, RngStream(9), 200, max_steps=1)
+        assert err.value.state["alive"].size == 200
+        jumps = np.linalg.norm(err.value.state["positions"] - x0, axis=1)
+        assert np.all(jumps <= 0.01 * 0.5 + 1e-15)
 
     def test_intermediate_positions_stay_strictly_inside(self):
-        rng = RngStream(30)
-        state = WalkState(position=np.array([0.5, 0.0]))
-        while np.linalg.norm(state.position) < 1.0 - 1e-4:
-            state = woms_step(state, DISK, 0.99, rng)
-            assert np.linalg.norm(state.position) < 1.0
+        x0 = np.array([0.5, 0.0])
+        full = woms_batch(x0, DISK, 1e-4, 0.99, RngStream(30), 1)
+        assert np.linalg.norm(full.exit_positions[0]) < 1.0
+        # one walker's draws do not depend on the budget, so each budget stops the same path
+        for budget in range(1, int(full.steps[0])):
+            with pytest.raises(StepBudgetError) as err:
+                woms_batch(x0, DISK, 1e-4, 0.99, RngStream(30), 1, max_steps=budget)
+            assert np.linalg.norm(err.value.state["positions"][0]) < 1.0
 
 
 class TestWomsRun:
     def test_immediate_return_inside_shell(self):
         x0 = np.array([0.999999, 0.0])
-        out = woms_run(x0, DISK, 1e-5, 0.99, RngStream(1))
-        assert out.steps == 0
-        assert out.exit_time == 0.0
-        assert np.array_equal(out.exit_position, x0)
-        assert np.linalg.norm(out.projected_position) == pytest.approx(1.0, abs=1e-14)
+        out = woms_batch(x0, DISK, 1e-5, 0.99, RngStream(1), 1)
+        assert out.steps[0] == 0
+        assert out.exit_times[0] == 0.0
+        assert np.array_equal(out.exit_positions[0], x0)
+        assert np.linalg.norm(out.projected_positions(1.0)[0]) == pytest.approx(1.0, abs=1e-14)
 
     def test_terminates_in_shell(self):
-        out = woms_run(np.array([0.5, 0.0]), DISK, 1e-4, 0.99, RngStream(2))
-        norm = np.linalg.norm(out.exit_position)
+        out = woms_batch(np.array([0.5, 0.0]), DISK, 1e-4, 0.99, RngStream(2), 1)
+        norm = np.linalg.norm(out.exit_positions[0])
         assert 1.0 - 1e-4 <= norm < 1.0
-        assert out.steps > 0
-        assert out.exit_time > 0.0
+        assert out.steps[0] > 0
+        assert out.exit_times[0] > 0.0
 
     def test_mean_exit_time_small_sample(self):
-        times = np.array(
-            [woms_run(np.array([0.5, 0.0]), DISK, 1e-4, 0.99, RngStream(3, i)).exit_time
-             for i in range(4000)]
-        )
+        times = woms_batch(np.array([0.5, 0.0]), DISK, 1e-4, 0.99, RngStream(3), 4000).exit_times
         tol = 3.0 * times.std(ddof=1) / math.sqrt(times.size)
         assert abs(times.mean() - 0.375) < tol
 
     def test_step_budget(self):
+        x0 = np.array([0.5, 0.0])
         with pytest.raises(StepBudgetError) as err:
-            woms_run(np.array([0.5, 0.0]), DISK, 1e-12, 0.99, RngStream(4), max_steps=3)
-        assert isinstance(err.value.state, WalkState)
-        assert err.value.state.steps == 3
+            woms_batch(x0, DISK, 1e-12, 0.99, RngStream(4), 1, max_steps=3)
+        assert err.value.state["alive"].tolist() == [0]
+        assert err.value.state["positions"].shape == (1, 2)
+        assert woms_batch(x0, DISK, 1e-12, 0.99, RngStream(4), 1).steps[0] > 3
 
     def test_rejects_outside_start(self):
         with pytest.raises(ValueError):
-            woms_run(np.array([1.5, 0.0]), DISK, 1e-4, 0.99, RngStream(5))
+            woms_batch(np.array([1.5, 0.0]), DISK, 1e-4, 0.99, RngStream(5), 1)
 
 
 class TestWomsBatch:
-    def test_matches_scalar_runner_statistically(self):
+    def test_mean_exit_time_matches_exact(self):
         batch = woms_batch(np.array([0.5, 0.0]), DISK, 1e-4, 0.99, RngStream(6), 50_000)
-        scalar_times = np.array(
-            [woms_run(np.array([0.5, 0.0]), DISK, 1e-4, 0.99, RngStream(7, i)).exit_time
-             for i in range(4000)]
-        )
-        se = math.hypot(
-            batch.exit_times.std(ddof=1) / math.sqrt(batch.exit_times.size),
-            scalar_times.std(ddof=1) / math.sqrt(scalar_times.size),
-        )
-        assert abs(batch.exit_times.mean() - scalar_times.mean()) < 3.0 * se
+        tol = 3.0 * batch.exit_times.std(ddof=1) / math.sqrt(batch.exit_times.size)
+        assert abs(batch.exit_times.mean() - 0.375) < tol
 
     def test_exit_norms_in_shell(self):
         batch = woms_batch(np.array([0.5, 0.0]), DISK, 1e-4, 0.99, RngStream(8), 20_000)
@@ -236,14 +278,8 @@ class TestLockstepLoop:
         res = _batch(walk, x0, 1e-4, RngStream(41), 1)
         assert res.exit_times.shape == res.steps.shape == (1,)
         assert res.exit_positions.shape == (1, 2)
-        if walk == "woms":
-            one = woms_run(x0, DISK, 1e-4, 0.99, RngStream(41))
-        else:
-            deps = WosDeps.for_mode("position_only", DISK)
-            one = wos_run(x0, DISK, 1e-4, "position_only", deps, RngStream(41))
-        assert res.steps[0] == one.steps > 0
-        assert res.exit_times[0] == pytest.approx(one.exit_time, rel=1e-9)
-        np.testing.assert_allclose(res.exit_positions[0], one.exit_position, rtol=1e-9)
+        step = _woms_psi_step(0.99) if walk == "woms" else _inscribed_step("position_only")
+        _assert_replayed(res, _replay_disk(x0, 1e-4, RngStream(41), step))
 
     @pytest.mark.parametrize("max_steps", [1, 2])
     def test_step_budget_reports_alive_ids_and_positions(self, walk, max_steps):
@@ -263,31 +299,22 @@ class TestLockstepLoop:
 class TestWosStep:
     def test_position_only_keeps_clock_at_zero(self):
         deps = WosDeps.for_mode("position_only", DISK)
-        state = WalkState(position=np.array([0.2, 0.2]))
-        for _ in range(5):
-            state = wos_step(state, DISK, "position_only", deps, RngStream(10, state.steps))
-        assert state.elapsed == 0.0
-        assert state.steps == 5
+        out = wos_batch(np.array([0.2, 0.2]), DISK, 1e-5, "position_only", deps, RngStream(10), 1)
+        assert out.exit_times[0] == 0.0
+        assert out.steps[0] > 0
 
     def test_jump_lands_on_inscribed_sphere(self):
+        x0 = np.array([0.3, -0.1])
         deps = WosDeps.for_mode("position_only", DISK)
-        state = WalkState(position=np.array([0.3, -0.1]))
-        r = DISK.distance_to_boundary(state.position)
-        new = wos_step(state, DISK, "position_only", deps, RngStream(11))
-        assert np.linalg.norm(new.position - state.position) == pytest.approx(r, rel=1e-14)
-        assert np.linalg.norm(new.position) <= 1.0 + 1e-12
+        res = wos_batch(x0, DISK, 1e-4, "position_only", deps, RngStream(11), 1)
+        _assert_replayed(res, _replay_disk(x0, 1e-4, RngStream(11), _inscribed_step("position_only")))
 
     def test_inversion_increment_is_r_squared_times_tau1(self):
+        x0 = np.array([0.5, 0.0])
         deps = WosDeps.for_mode("inversion", DISK)
-        state = WalkState(position=np.array([0.5, 0.0]))
-        rng = RngStream(12, 4)
-        new = wos_step(state, DISK, "inversion", deps, rng)
-
-        replay = RngStream(12, 4)
-        replay.generator.random()  # direction angle draw
-        u = float(np.clip(replay.generator.random(), 1e-300, np.nextafter(1.0, 0.0)))
-        tau1 = invert_cdf(u, deps.cache)
-        assert new.elapsed == pytest.approx(0.25 * tau1, rel=1e-12)
+        res = wos_batch(x0, DISK, 1e-4, "inversion", deps, RngStream(12, 4), 1)
+        replay = _replay_disk(x0, 1e-4, RngStream(12, 4), _inscribed_step("inversion", deps.cache))
+        _assert_replayed(res, replay)
 
     def test_table_mode_without_table_errors(self):
         with pytest.raises(ValueError):
@@ -301,15 +328,20 @@ class TestWosStep:
     def test_unknown_mode(self):
         deps = WosDeps.for_mode("position_only", DISK)
         with pytest.raises(ValueError):
-            wos_step(WalkState(position=np.zeros(2)), DISK, "bogus", deps, RngStream(1))
+            wos_batch(np.zeros(2), DISK, 1e-5, "bogus", deps, RngStream(1), 1)
+
+    @pytest.mark.parametrize("mode", ["inversion", "table"])
+    def test_missing_deps_rejected_on_entry(self, mode):
+        with pytest.raises(ValueError, match=f"{mode} exit mode requires"):
+            wos_batch(np.zeros(2), DISK, 1e-5, mode, WosDeps(), RngStream(1), 1)
 
 
 class TestWosRun:
     def test_immediate_return(self):
         x0 = np.array([0.0, 1.0 - 1e-6])
         deps = WosDeps.for_mode("position_only", DISK)
-        out = wos_run(x0, DISK, 1e-5, "position_only", deps, RngStream(13))
-        assert out.steps == 0 and out.exit_time == 0.0
+        out = wos_batch(x0, DISK, 1e-5, "position_only", deps, RngStream(13), 1)
+        assert out.steps[0] == 0 and out.exit_times[0] == 0.0
 
     def test_harmonic_identity_small_sample(self):
         # f(x, y) = x^2 - y^2 is harmonic: E f(exit) = f(x0)
@@ -362,14 +394,15 @@ class TestRotationalUniformity:
 
 class TestEuler:
     def test_immediate_return_outside(self):
-        out = euler_run(np.array([1.2, 0.0]), DISK, 1e-3, RngStream(18))
-        assert out.steps == 0 and out.exit_time == 0.0
-        assert np.linalg.norm(out.exit_position) == pytest.approx(1.0, abs=1e-14)
+        out = euler_batch(np.array([1.2, 0.0]), DISK, 1e-3, RngStream(18), 1)
+        assert out.steps[0] == 0 and out.exit_times[0] == 0.0
+        assert np.linalg.norm(out.exit_positions[0]) == pytest.approx(1.0, abs=1e-14)
 
     def test_exit_time_is_step_multiple(self):
-        out = euler_run(np.array([0.5, 0.0]), DISK, 1e-3, RngStream(19))
-        assert out.exit_time == pytest.approx(out.steps * 1e-3, rel=1e-12)
-        assert np.linalg.norm(out.exit_position) == pytest.approx(1.0, abs=1e-12)
+        out = euler_batch(np.array([0.5, 0.0]), DISK, 1e-3, RngStream(19), 1)
+        assert out.steps[0] > 0
+        assert out.exit_times[0] == pytest.approx(out.steps[0] * 1e-3, rel=1e-12)
+        assert np.linalg.norm(out.exit_positions[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_overestimates_and_converges(self):
         coarse = euler_batch(np.array([0.5, 0.0]), DISK, 1e-2, RngStream(20, 0), 100_000)
@@ -383,7 +416,27 @@ class TestEuler:
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
-            euler_run(np.array([0.5, 0.0]), DISK, 0.0, RngStream(22))
+            euler_batch(np.array([0.5, 0.0]), DISK, 0.0, RngStream(22), 1)
+
+    def test_step_budget_binds_inside_a_block(self):
+        # blocks are up to 1024 steps long; none may run past the budget
+        with pytest.raises(StepBudgetError) as err:
+            euler_batch(np.array([0.97, 0.0]), DISK, 1e-3, RngStream(1), 5, max_steps=10)
+        alive = err.value.state["alive"]
+        assert 0 < alive.size <= 5
+        assert err.value.state["positions"].shape == (alive.size, 2)
+
+    def test_budgeted_run_stays_within_budget(self):
+        x0 = np.array([0.97, 0.0])
+        # unbudgeted, one of these walkers needs 734 steps, all within the first block
+        full = euler_batch(x0, DISK, 1e-3, RngStream(1), 5)
+        assert 100 < full.steps.max() <= 1024
+        out = euler_batch(x0, DISK, 1e-3, RngStream(1), 5, max_steps=100)
+        assert out.steps.max() <= 100
+        # a budget that leaves the blocks whole leaves the draws as they were
+        out = euler_batch(x0, DISK, 1e-3, RngStream(1), 5, max_steps=2000)
+        assert np.array_equal(out.steps, full.steps)
+        assert np.array_equal(out.exit_positions, full.exit_positions)
 
 
 class TestTau1Table:
@@ -443,8 +496,8 @@ class TestPrecomputeTable:
     def test_table_mode_run_uses_samples(self):
         table = precompute_table(1000, 2, "inversion", RngStream(26))
         deps = WosDeps.for_mode("table", DISK, table=table)
-        out = wos_run(np.array([0.5, 0.0]), DISK, 1e-3, "table", deps, RngStream(27))
-        assert out.exit_time > 0.0
+        out = wos_batch(np.array([0.5, 0.0]), DISK, 1e-3, "table", deps, RngStream(27), 1)
+        assert out.exit_times[0] > 0.0
 
     def test_bad_method(self):
         with pytest.raises(ValueError):
