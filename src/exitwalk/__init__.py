@@ -40,7 +40,6 @@ from .walkers import (
     BatchResult,
     SphereDomain,
     Tau1Table,
-    WosDeps,
     euler_batch,
     precompute_table,
     read_table,

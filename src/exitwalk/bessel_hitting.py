@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 TERM_FLOOR = 1e-14  # series truncated once the next term magnitude drops below this
+K_MAX = 512  # cap on the number of series terms
 EXP_FLOOR = -700.0  # series exponents are floored here, where exp is still a normal double
 FAR_LEAD_EXPONENT = 600.0  # rows whose leading exponent is below minus this skip the floor
 SERIES_BLOCK = 2**15  # terms per block of series rows: a 256 KiB buffer, reused
@@ -132,15 +133,14 @@ class SpectralSeriesCache:
 
     The series needs O(L/sqrt(t)) terms as t -> 0, so evaluation is
     refused below t_min = 0.02 L^2; that keeps the truncation under the
-    k_max cap in double precision.
+    K_MAX cap in double precision.
     """
 
-    def __init__(self, index: BesselIndex, radius: float = 1.0, k_max: int = 512):
+    def __init__(self, index: BesselIndex, radius: float = 1.0):
         if radius <= 0:
             raise ValueError(f"radius must be positive, got {radius}")
         self.index = index
         self.radius = float(radius)
-        self.k_max = int(k_max)
         self.t_min = 0.02 * radius * radius
         self.clamp_count = 0
         self._lock = threading.Lock()
@@ -176,17 +176,17 @@ class SpectralSeriesCache:
         rate = t / (2.0 * self.radius**2)
         k = 8
         while True:
-            self._ensure_terms(min(k, self.k_max))
+            self._ensure_terms(min(k, K_MAX))
             zeros, coeffs, _ = self._table
             mags = np.abs(coeffs) * np.exp(-(zeros**2) * rate)
             below = np.nonzero(mags < TERM_FLOOR)[0]
             if below.size:
                 return int(below[0]) + 1
-            if k >= self.k_max:
+            if k >= K_MAX:
                 raise SeriesTruncationError(
-                    f"term bound {TERM_FLOOR} not met within k_max={self.k_max} at t={t}"
+                    f"term bound {TERM_FLOOR} not met within K_MAX={K_MAX} at t={t}"
                 )
-            k = min(2 * k, self.k_max)
+            k = min(2 * k, K_MAX)
 
     def series_eval(self, t, k: int):
         """(tail, pdf) partial sums with k terms; no clamping, no guards.

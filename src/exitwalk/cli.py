@@ -52,6 +52,19 @@ def _parse_eps_list(text: str) -> list[float]:
     return values
 
 
+def _parse_methods(text: str) -> list[str]:
+    """Comma-separated CLI method names -> harness.METHODS names."""
+    methods = [part.strip() for part in text.split(",") if part.strip()]
+    if not methods:
+        raise argparse.ArgumentTypeError("method list is empty")
+    for m in methods:
+        if m not in _CLI_CHOICES:
+            raise argparse.ArgumentTypeError(
+                f"unknown method {m!r}; choose from {', '.join(_CLI_CHOICES)}"
+            )
+    return [m.replace("-", "_") for m in methods]
+
+
 def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--x0", type=_parse_x0, default=(0.5, 0.0), help="start point, comma-separated reals")
     parser.add_argument("--radius", type=float, default=1.0, help="sphere radius L")
@@ -155,14 +168,9 @@ def _cmd_steps(args) -> int:
 
 
 def _cmd_timing(args) -> int:
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in _CLI_CHOICES:
-            raise SystemExit(f"unknown method {m!r}")
-    names = [m.replace("-", "_") for m in methods]
-    base = _config_from_args(args, names[0], args.eps_list[0])
+    base = _config_from_args(args, args.methods[0], args.eps_list[0])
     table = read_table(args.table) if args.table else None
-    rows, fits = timing_experiment(names, base, args.eps_list, table=table)
+    rows, fits = timing_experiment(args.methods, base, args.eps_list, table=table)
     for row in rows:
         row["method"] = row["method"].replace("_", "-")
     fits = {m.replace("_", "-"): f for m, f in fits.items()}
@@ -253,7 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_steps.set_defaults(func=_cmd_steps)
 
     p_timing = sub.add_parser("timing", help="wall seconds per method and epsilon")
-    p_timing.add_argument("--methods", type=str, required=True, help="comma-separated method names")
+    p_timing.add_argument(
+        "--methods", type=_parse_methods, required=True, help="comma-separated method names"
+    )
     p_timing.add_argument("--eps-list", type=_parse_eps_list, required=True)
     _add_common_run_flags(p_timing)
     p_timing.set_defaults(func=_cmd_timing)
@@ -284,7 +294,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, StepBudgetError, InversionError, SeriesTruncationError) as exc:
+    except (ValueError, OSError, StepBudgetError, InversionError, SeriesTruncationError) as exc:
         print(f"exitwalk: error: {exc}", file=sys.stderr)
         return 1
 

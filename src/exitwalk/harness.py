@@ -17,16 +17,17 @@ import os
 import subprocess
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
+from .bessel_hitting import SpectralSeriesCache
 from .samplers import RNG_ALGORITHM, RngStream
+from .specfun import BesselIndex
 from .walkers import (
     BatchResult,
     SphereDomain,
     Tau1Table,
-    WosDeps,
     euler_batch,
     read_table,
     woms_batch,
@@ -51,8 +52,6 @@ __all__ = [
 ]
 
 METHODS = ("woms", "wos_inversion", "wos_table", "wos_position", "euler")
-# The wos methods and the walkers.EXIT_MODES entry each one runs.
-_WOS_EXIT_MODES = {"wos_inversion": "inversion", "wos_table": "table", "wos_position": "position_only"}
 
 RESULT_SCHEMA = "exitwalk-run-v1"
 
@@ -78,9 +77,9 @@ class ExperimentConfig:
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
         if len(self.x0) != self.delta:
             raise ValueError(f"x0 has {len(self.x0)} coordinates for dimension {self.delta}")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if math.hypot(*self.x0) >= self.radius:
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError("radius must be positive and finite")
+        if not math.hypot(*self.x0) < self.radius:  # also rejects NaN and inf
             raise ValueError("x0 must lie strictly inside the domain")
         if not 0.0 < self.epsilon < self.radius:
             raise ValueError("epsilon must lie in (0, radius)")
@@ -90,8 +89,8 @@ class ExperimentConfig:
             raise ValueError("trajectories must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.h <= 0:
-            raise ValueError("h must be positive")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise ValueError("h must be positive and finite")
         if self.method == "wos_table" and not self.table_path:
             raise ValueError("wos_table requires a table_path")
 
@@ -195,7 +194,9 @@ def _worker_counts(total: int, workers: int) -> list[int]:
     return [base + (1 if w < extra else 0) for w in range(workers)]
 
 
-def _run_worker(config: ExperimentConfig, worker: int, count: int, deps: WosDeps | None) -> BatchResult:
+def _run_worker(
+    config: ExperimentConfig, worker: int, count: int, tau1: Tau1Table | SpectralSeriesCache | None
+) -> BatchResult:
     rng = RngStream(seed=config.seed, stream_id=worker)
     domain = SphereDomain(radius=config.radius, delta=config.delta)
     x0 = np.array(config.x0)
@@ -205,35 +206,32 @@ def _run_worker(config: ExperimentConfig, worker: int, count: int, deps: WosDeps
         )
     if config.method == "euler":
         return euler_batch(x0, domain, config.h, rng, count, config.max_steps)
-    mode = _WOS_EXIT_MODES[config.method]
-    return wos_batch(x0, domain, config.epsilon, mode, deps, rng, count, config.max_steps)
+    return wos_batch(x0, domain, config.epsilon, tau1, rng, count, config.max_steps)
 
 
 def run_experiment(config: ExperimentConfig, table: Tau1Table | None = None) -> RunStatistics:
     """Run `trajectories` walks over `workers` deterministic streams and aggregate.
 
-    Table loading and dependency setup happen before the timed section;
-    wall_seconds covers the trajectory loop only.
+    The tau_1 source of the wos methods (the table passed in or read from
+    table_path, or a fresh series cache) is set up before the timed
+    section; wall_seconds covers the trajectory loop only.
     """
-    deps = None
-    if config.method in _WOS_EXIT_MODES:
-        if config.method == "wos_table" and table is None:
-            table = read_table(config.table_path)
-        mode = _WOS_EXIT_MODES[config.method]
-        domain = SphereDomain(radius=config.radius, delta=config.delta)
-        deps = WosDeps.for_mode(mode, domain, table=table)
-        if config.method == "wos_inversion":
-            # Warm the series table so the timed loop measures sampling only.
-            deps.cache.terms_needed(deps.cache.t_min)
+    tau1 = None
+    if config.method == "wos_table":
+        tau1 = table if table is not None else read_table(config.table_path)
+    elif config.method == "wos_inversion":
+        tau1 = SpectralSeriesCache(BesselIndex(config.delta))
+        # Warm the series table so the timed loop measures sampling only.
+        tau1.terms_needed(tau1.t_min)
 
     counts = _worker_counts(config.trajectories, config.workers)
     start = time.perf_counter()
     if config.workers == 1:
-        results = [_run_worker(config, 0, counts[0], deps)]
+        results = [_run_worker(config, 0, counts[0], tau1)]
     else:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             futures = [
-                pool.submit(_run_worker, config, w, counts[w], deps)
+                pool.submit(_run_worker, config, w, counts[w], tau1)
                 for w in range(config.workers)
                 if counts[w] > 0
             ]
@@ -293,7 +291,7 @@ def step_scaling_experiment(
     rows = []
     points = []
     for eps in epsilons:
-        config = _replace(base_config, method=method, epsilon=eps)
+        config = replace(base_config, method=method, epsilon=eps)
         stats = run_experiment(config, table=table)
         x = abs(math.log(eps))
         ci95_steps = 1.96 * math.sqrt(stats.var_steps / stats.n) if stats.n else 0.0
@@ -332,7 +330,7 @@ def timing_experiment(
     for method in methods:
         points = []
         for eps in epsilons:
-            config = _replace(base_config, method=method, epsilon=eps)
+            config = replace(base_config, method=method, epsilon=eps)
             seconds = min(
                 run_experiment(config, table=table).wall_seconds for _ in range(repeats)
             )
@@ -341,12 +339,6 @@ def timing_experiment(
             points.append((x, seconds))
         fits[method] = fit_loglinear(points) if len(points) >= 3 else None
     return rows, fits
-
-
-def _replace(config: ExperimentConfig, **overrides) -> ExperimentConfig:
-    data = asdict(config)
-    data.update(overrides)
-    return ExperimentConfig(**data)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ the origin:
   then jumps a distance psi(R) in a uniform direction and advances the
   clock by R; and
 * classical walk on spheres: each step jumps to a uniform point on the
-  largest inscribed sphere; the elapsed time per step, when requested, is
-  r^2 times a draw of the unit-sphere exit time tau_1 obtained either by
-  numerical CDF inversion or by uniform lookup in a precomputed table.
+  largest inscribed sphere; the elapsed time per step is r^2 times a draw
+  of the unit-sphere exit time tau_1.  wos_batch takes the source of those
+  draws as one argument, whose type fixes how they are made: a Tau1Table
+  (uniform lookup in a precomputed table), a SpectralSeriesCache (numerical
+  CDF inversion), or None (positions only, the clock stays at zero).
 
 A naive Euler scheme (fixed step h, no boundary correction) serves as a
 distribution baseline.
@@ -35,20 +37,18 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .specfun import BesselIndex
 from .samplers import RngStream, _norms, _row_sums, sample_unit_direction
-from .bessel_hitting import InversionConfig, SpectralSeriesCache, invert_cdf_batch
+from .bessel_hitting import SpectralSeriesCache, invert_cdf_batch
 
 __all__ = [
     "SphereDomain",
     "BatchResult",
     "StepBudgetError",
-    "WosDeps",
-    "EXIT_MODES",
     "woms_batch",
     "wos_batch",
     "euler_batch",
@@ -59,7 +59,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_STEPS = 10**6
-EXIT_MODES = ("position_only", "inversion", "table")
 
 
 @dataclass(frozen=True)
@@ -70,8 +69,8 @@ class SphereDomain:
     delta: int
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
         BesselIndex(self.delta)  # validates delta
 
     @property
@@ -150,6 +149,8 @@ def woms_batch(
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> BatchResult:
     """n independent moving-sphere trajectories advanced in lockstep."""
+    if not 0.0 < gamma < 1.0:  # also rejects NaN, which would spin to the step budget
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     nu, frac = domain.index.nu, domain.index.frac
     m = int(math.floor(nu)) + 2
     gen = rng.generator
@@ -174,7 +175,7 @@ def _check_run_args(x0, domain: SphereDomain, epsilon: float) -> None:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (domain.delta,):
         raise ValueError(f"x0 must have shape ({domain.delta},), got {x0.shape}")
-    if float(np.linalg.norm(x0)) >= domain.radius:
+    if not float(np.linalg.norm(x0)) < domain.radius:  # also rejects NaN and inf
         raise ValueError("x0 must lie strictly inside the domain")
     if not 0.0 < epsilon < domain.radius:
         raise ValueError(f"epsilon must lie in (0, radius), got {epsilon}")
@@ -184,37 +185,11 @@ def _check_run_args(x0, domain: SphereDomain, epsilon: float) -> None:
 # Classical walk on spheres
 
 
-@dataclass
-class WosDeps:
-    """Exit-time dependencies for WOS: series cache + inversion settings, or a table."""
-
-    cache: SpectralSeriesCache | None = None
-    inversion: InversionConfig = field(default_factory=InversionConfig)
-    table: "Tau1Table | None" = None
-
-    @staticmethod
-    def for_mode(exit_mode: str, domain: SphereDomain, table: "Tau1Table | None" = None) -> "WosDeps":
-        if exit_mode not in EXIT_MODES:
-            raise ValueError(f"unknown exit mode {exit_mode!r}; expected one of {EXIT_MODES}")
-        deps = WosDeps(table=table)
-        if exit_mode == "inversion":
-            deps.cache = SpectralSeriesCache(domain.index, radius=1.0)
-        if exit_mode == "table":
-            if table is None:
-                raise ValueError("table exit mode requires a loaded Tau1Table")
-            if table.delta != domain.delta:
-                raise ValueError(
-                    f"table dimension {table.delta} does not match domain dimension {domain.delta}"
-                )
-        return deps
-
-
 def wos_batch(
     x0,
     domain: SphereDomain,
     epsilon: float,
-    exit_mode: str,
-    deps: WosDeps,
+    tau1: "Tau1Table | SpectralSeriesCache | None",
     rng: RngStream,
     n: int,
     max_steps: int = DEFAULT_MAX_STEPS,
@@ -222,29 +197,39 @@ def wos_batch(
     """n independent classical-walk trajectories advanced in lockstep.
 
     Each step jumps to a uniform point on the largest inscribed sphere.  The
-    elapsed time grows by r^2 * tau_1 (inversion or table mode) because the
-    exit time of a sphere of radius r is r^2 times the unit-sphere one;
-    position_only mode leaves the clock untouched.
+    elapsed time grows by r^2 * tau_1, because the exit time of a sphere of
+    radius r is r^2 times the unit-sphere one.  tau1 is the source of those
+    draws: a Tau1Table (uniform lookup), a unit-radius SpectralSeriesCache
+    (CDF inversion), or None, which leaves the clock at zero.
     """
-    if exit_mode not in EXIT_MODES:
-        raise ValueError(f"unknown exit mode {exit_mode!r}; expected one of {EXIT_MODES}")
-    if exit_mode == "inversion" and deps.cache is None:
-        raise ValueError("inversion exit mode requires a SpectralSeriesCache")
-    if exit_mode == "table" and deps.table is None:
-        raise ValueError("table exit mode requires a loaded Tau1Table")
+    if isinstance(tau1, Tau1Table):
+        if tau1.delta != domain.delta:
+            raise ValueError(
+                f"table dimension {tau1.delta} does not match domain dimension {domain.delta}"
+            )
+    elif isinstance(tau1, SpectralSeriesCache):
+        if tau1.index.delta != domain.delta or tau1.radius != 1.0:
+            raise ValueError(
+                f"series cache (dimension {tau1.index.delta}, radius {tau1.radius}) must be "
+                f"for the unit sphere in dimension {domain.delta}"
+            )
+    elif tau1 is not None:
+        raise ValueError(
+            f"tau1 must be a Tau1Table, a SpectralSeriesCache or None, got {type(tau1).__name__}"
+        )
     gen = rng.generator
 
     def step(pos, norms):
         r = domain.radius - norms
         pos += sample_unit_direction(domain.delta, rng, r.size) * r[:, None]
-        if exit_mode == "position_only":
+        if tau1 is None:
             return pos, 0.0
-        if exit_mode == "inversion":
-            u = np.clip(gen.random(r.size), 1e-300, np.nextafter(1.0, 0.0))
-            tau1 = invert_cdf_batch(u, deps.cache, deps.inversion)
+        if isinstance(tau1, Tau1Table):
+            draws = tau1.samples[gen.integers(0, tau1.count, r.size)]
         else:
-            tau1 = deps.table.samples[gen.integers(0, deps.table.count, r.size)]
-        return pos, r * r * tau1
+            u = np.clip(gen.random(r.size), 1e-300, np.nextafter(1.0, 0.0))
+            draws = invert_cdf_batch(u, tau1)
+        return pos, r * r * draws
 
     return _lockstep(x0, domain, epsilon, n, max_steps, step)
 
@@ -269,11 +254,13 @@ def euler_batch(
     walker has taken the same number of steps, and no block runs past
     max_steps.
     """
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got {h}")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step size must be positive and finite, got {h}")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (domain.delta,):
         raise ValueError(f"x0 must have shape ({domain.delta},), got {x0.shape}")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0}")
     gen = rng.generator
     delta = domain.delta
     positions = np.tile(x0, (n, 1))
@@ -348,8 +335,8 @@ class Tau1Table:
         samples = np.ascontiguousarray(np.asarray(self.samples, dtype="<f8"))
         if samples.ndim != 1 or samples.size < 1:
             raise ValueError("samples must be a non-empty 1-D array")
-        if np.any(samples <= 0.0):
-            raise ValueError("all table samples must be positive")
+        if not np.all(np.isfinite(samples) & (samples > 0.0)):
+            raise ValueError("all table samples must be finite and positive")
         object.__setattr__(self, "samples", samples)
 
     @property

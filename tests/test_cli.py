@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from exitwalk import cli
 from exitwalk.bessel_hitting import InversionError
 from exitwalk.cli import main
 from exitwalk.brownian1d import level_hitting_pdf
-from exitwalk.walkers import read_table
+from exitwalk.walkers import Tau1Table, read_table, write_table
 
 
 def run_cli(*argv):
@@ -84,6 +86,18 @@ class TestErrorReporting:
         code = run_cli("run", "--method", "wos-table", "--n", "10", "--table", str(path))
         self.assert_one_line_error(capsys, code, "bad magic")
 
+    def test_missing_table_file(self, tmp_path, capsys):
+        path = tmp_path / "missing.bin"
+        code = run_cli("run", "--method", "wos-table", "--n", "10", "--table", str(path))
+        self.assert_one_line_error(capsys, code, "No such file or directory")
+
+    def test_nan_table_sample(self, tmp_path, capsys):
+        path = tmp_path / "nan.bin"
+        write_table(Tau1Table(delta=2, samples=np.array([0.5, 1.0]), provenance="inversion"), path)
+        path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", math.nan))
+        code = run_cli("run", "--method", "wos-table", "--n", "10", "--table", str(path))
+        self.assert_one_line_error(capsys, code, "all table samples must be finite and positive")
+
 
 class TestStepsCommand:
     def test_steps_csv_columns(self, tmp_path, capsys):
@@ -119,6 +133,14 @@ class TestTimingCommand:
     def test_rejects_unknown_method(self):
         with pytest.raises(SystemExit):
             run_cli("timing", "--methods", "warp", "--eps-list", "1e-2")
+
+    def test_rejects_empty_method_list(self, capsys):
+        # `--methods ,` ended in an IndexError traceback
+        with pytest.raises(SystemExit) as exc:
+            run_cli("timing", "--methods", ",", "--eps-list", "1e-2")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --methods: method list is empty" in err and "Traceback" not in err
 
 
 class TestPrecomputeCommand:

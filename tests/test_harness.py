@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from exitwalk.harness import (
+    METHODS,
     ExperimentConfig,
     FitResult,
     _Moments,
@@ -19,7 +21,18 @@ from exitwalk.harness import (
     write_json,
 )
 from exitwalk.samplers import RngStream
-from exitwalk.walkers import precompute_table
+from exitwalk.walkers import precompute_table, write_table
+
+# SHA-256 of the result documents of TestResultFiles.test_frozen_documents,
+# captured from the harness that mapped method names to exit-mode strings.
+# Like the walker digests, they hold for this numpy build and CPU.
+FROZEN_DOCUMENTS = {
+    "woms": "b97c5a16a71840b590024cf9c97a7fbc06d6fc36dc1e0b3ec22e2e08450dbd49",
+    "wos_inversion": "6ad5dd37bf9e6a568f0781b34ba87d6f77ec95add927ad4e4537e6e91535cd38",
+    "wos_table": "bec42f16a9908f5894c811d2f04bed010ac25eaea2260eb61ee4acfa2e0b1cbd",
+    "wos_position": "73c1179a2de3360b4eab252b00378bdfa669143fe3830c96a983da70d25c964c",
+    "euler": "d41102e6476b5dca12f03791db1a83f201d40bec966e6a9f43eb5fbad63c3db7",
+}
 
 
 def small_config(**overrides):
@@ -105,6 +118,23 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             small_config(method="wos_table")  # no table path
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(x0=(math.nan, 0.0)), "x0 must lie strictly inside"),
+            (dict(x0=(0.0, -math.inf)), "x0 must lie strictly inside"),
+            (dict(h=math.inf), "h must be positive and finite"),
+            (dict(h=math.nan), "h must be positive and finite"),
+            (dict(radius=math.inf), "radius must be positive and finite"),
+            (dict(radius=math.nan), "radius must be positive and finite"),
+        ],
+        ids=["x0-nan", "x0-inf", "h-inf", "h-nan", "radius-inf", "radius-nan"],
+    )
+    def test_rejects_non_finite(self, overrides, message):
+        # a NaN start was accepted and spun to the step budget; h = inf gave NaN exits
+        with pytest.raises(ValueError, match=message):
+            small_config(**overrides)
+
 
 class TestRunExperiment:
     def test_mean_exit_time(self):
@@ -156,8 +186,6 @@ class TestRunExperiment:
         assert stats.mean_time > 0.3
 
     def test_table_method(self, tmp_path):
-        from exitwalk.walkers import write_table
-
         table = precompute_table(50_000, 2, "inversion", RngStream(40))
         path = tmp_path / "tau.bin"
         write_table(table, path)
@@ -227,6 +255,23 @@ class TestResultFiles:
         assert "wall" not in json.dumps(doc)  # timing kept out of the file
         results = doc["results"]
         assert set(results) >= {"n", "mean_exit_time", "var_exit_time", "mean_steps"}
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_frozen_documents(self, tmp_path, method):
+        # SHA-256 of the result document, build id dropped, for every method:
+        # pins the dispatch from the harness to the walkers bit for bit
+        path = tmp_path / "tau.bin"
+        write_table(precompute_table(2000, 2, "inversion", RngStream(7)), path)
+        config = ExperimentConfig(
+            method=method, x0=(0.5, 0.0), epsilon=1e-3, trajectories=64, seed=3, workers=2,
+            table_path=str(path) if method == "wos_table" else None,
+        )
+        doc = run_result_document(config, run_experiment(config))
+        del doc["build"]
+        if doc["config"]["table_path"] is not None:
+            doc["config"]["table_path"] = "TABLE"
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == FROZEN_DOCUMENTS[method]
 
     def test_csv_seventeen_digits(self, tmp_path):
         path = tmp_path / "out.csv"

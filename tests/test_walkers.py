@@ -16,12 +16,10 @@ from exitwalk.bessel_hitting import (
     psi,
 )
 from exitwalk.walkers import (
-    EXIT_MODES,
     BatchResult,
     SphereDomain,
     StepBudgetError,
     Tau1Table,
-    WosDeps,
     euler_batch,
     precompute_table,
     read_table,
@@ -77,13 +75,13 @@ def _woms_psi_step(gamma: float):
     return step
 
 
-def _inscribed_step(exit_mode: str, cache=None):
-    """A classical step: the direction angle, then (inversion) one quantile."""
+def _inscribed_step(cache=None):
+    """A classical step: the direction angle, then (given a cache) one quantile."""
 
     def step(x, rng):
         r = 1.0 - np.linalg.norm(x)
         x = x + r * _unit_angle(rng)
-        if exit_mode == "position_only":
+        if cache is None:
             return x, 0.0
         u = float(np.clip(rng.generator.random(), 1e-300, np.nextafter(1.0, 0.0)))
         return x, r * r * invert_cdf(u, cache)
@@ -97,7 +95,7 @@ class TestSphereDomain:
         dom = SphereDomain(radius=2.0, delta=2)
         x0 = np.array([0.6, 0.0])
         with pytest.raises(StepBudgetError) as err:
-            wos_batch(x0, dom, 1e-5, "position_only", WosDeps(), RngStream(1), 50, max_steps=1)
+            wos_batch(x0, dom, 1e-5, None, RngStream(1), 50, max_steps=1)
         jumps = np.linalg.norm(err.value.state["positions"] - x0, axis=1)
         assert jumps == pytest.approx(np.full(jumps.size, 1.4), rel=1e-14)
 
@@ -106,6 +104,11 @@ class TestSphereDomain:
             SphereDomain(radius=0.0, delta=2)
         with pytest.raises(ValueError):
             SphereDomain(radius=1.0, delta=1)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_rejects_non_finite_radius(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            SphereDomain(radius=radius, delta=2)
 
 
 class TestWomsStep:
@@ -179,6 +182,12 @@ class TestWomsRun:
         with pytest.raises(ValueError):
             woms_batch(np.array([1.5, 0.0]), DISK, 1e-4, 0.99, RngStream(5), 1)
 
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 3.0, math.nan])
+    def test_rejects_gamma_outside_unit_interval(self, gamma):
+        # gamma = 3 let steps leave the sphere; NaN never retired a walker
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            woms_batch(np.array([0.5, 0.0]), DISK, 1e-4, gamma, RngStream(5), 1)
+
 
 class TestWomsBatch:
     def test_mean_exit_time_matches_exact(self):
@@ -238,7 +247,7 @@ class TestFrozenBatchOutputs:
         assert _digest(res) == digest
 
     @pytest.mark.parametrize(
-        "mode, delta, n, digest",
+        "source, delta, n, digest",
         [
             ("position_only", 2, 20000, "dd42ff7dab44fc4286db55ce465987339e9f0d8aa4968ff176fa35cc8dd2a862"),
             ("position_only", 3, 20000, "dfd7831d870549d867c0a6848ea0dfadbe15d26a69a3fc55029dda89dd1e7f05"),
@@ -248,11 +257,14 @@ class TestFrozenBatchOutputs:
             ("inversion", 3, 5000, "d77e48a197b7dfa0e8b7af389777ff812e5d26583e6d7fe719f60317aa609575"),
         ],
     )
-    def test_wos(self, mode, delta, n, digest):
+    def test_wos(self, source, delta, n, digest):
         dom = SphereDomain(1.0, delta)
-        table = Tau1Table(delta=delta, samples=np.linspace(0.02, 1.5, 997), provenance="inversion")
-        deps = WosDeps.for_mode(mode, dom, table=table)
-        res = wos_batch(_start(delta), dom, 1e-5, mode, deps, RngStream(271, delta), n)
+        tau1 = {
+            "position_only": None,
+            "table": Tau1Table(delta=delta, samples=np.linspace(0.02, 1.5, 997), provenance="inversion"),
+            "inversion": SpectralSeriesCache(dom.index),
+        }[source]
+        res = wos_batch(_start(delta), dom, 1e-5, tau1, RngStream(271, delta), n)
         assert _digest(res) == digest
 
 
@@ -260,8 +272,7 @@ def _batch(walk: str, x0, epsilon: float, rng: RngStream, n: int, max_steps: int
     dom = SphereDomain(1.0, len(x0))
     if walk == "woms":
         return woms_batch(x0, dom, epsilon, 0.99, rng, n, max_steps)
-    deps = WosDeps.for_mode("position_only", dom)
-    return wos_batch(x0, dom, epsilon, "position_only", deps, rng, n, max_steps)
+    return wos_batch(x0, dom, epsilon, None, rng, n, max_steps)
 
 
 @pytest.mark.parametrize("walk", ["woms", "wos"])
@@ -278,7 +289,7 @@ class TestLockstepLoop:
         res = _batch(walk, x0, 1e-4, RngStream(41), 1)
         assert res.exit_times.shape == res.steps.shape == (1,)
         assert res.exit_positions.shape == (1, 2)
-        step = _woms_psi_step(0.99) if walk == "woms" else _inscribed_step("position_only")
+        step = _woms_psi_step(0.99) if walk == "woms" else _inscribed_step()
         _assert_replayed(res, _replay_disk(x0, 1e-4, RngStream(41), step))
 
     @pytest.mark.parametrize("max_steps", [1, 2])
@@ -295,66 +306,67 @@ class TestLockstepLoop:
         assert positions.shape == (alive.size, 2)
         assert np.all(np.linalg.norm(positions, axis=1) < 0.8)
 
+    @pytest.mark.parametrize("x0", [(math.nan, 0.0), (0.0, math.inf)], ids=["nan", "inf"])
+    def test_rejects_non_finite_start(self, walk, x0):
+        # a NaN norm is never in the shell: the walk would spin to the step budget
+        with pytest.raises(ValueError, match="x0 must lie strictly inside the domain"):
+            _batch(walk, np.array(x0), 1e-4, RngStream(5), 1)
+
 
 class TestWosStep:
     def test_position_only_keeps_clock_at_zero(self):
-        deps = WosDeps.for_mode("position_only", DISK)
-        out = wos_batch(np.array([0.2, 0.2]), DISK, 1e-5, "position_only", deps, RngStream(10), 1)
+        out = wos_batch(np.array([0.2, 0.2]), DISK, 1e-5, None, RngStream(10), 1)
         assert out.exit_times[0] == 0.0
         assert out.steps[0] > 0
 
     def test_jump_lands_on_inscribed_sphere(self):
         x0 = np.array([0.3, -0.1])
-        deps = WosDeps.for_mode("position_only", DISK)
-        res = wos_batch(x0, DISK, 1e-4, "position_only", deps, RngStream(11), 1)
-        _assert_replayed(res, _replay_disk(x0, 1e-4, RngStream(11), _inscribed_step("position_only")))
+        res = wos_batch(x0, DISK, 1e-4, None, RngStream(11), 1)
+        _assert_replayed(res, _replay_disk(x0, 1e-4, RngStream(11), _inscribed_step()))
 
     def test_inversion_increment_is_r_squared_times_tau1(self):
         x0 = np.array([0.5, 0.0])
-        deps = WosDeps.for_mode("inversion", DISK)
-        res = wos_batch(x0, DISK, 1e-4, "inversion", deps, RngStream(12, 4), 1)
-        replay = _replay_disk(x0, 1e-4, RngStream(12, 4), _inscribed_step("inversion", deps.cache))
+        cache = SpectralSeriesCache(DISK.index)
+        res = wos_batch(x0, DISK, 1e-4, cache, RngStream(12, 4), 1)
+        replay = _replay_disk(x0, 1e-4, RngStream(12, 4), _inscribed_step(cache))
         _assert_replayed(res, replay)
-
-    def test_table_mode_without_table_errors(self):
-        with pytest.raises(ValueError):
-            WosDeps.for_mode("table", DISK)
 
     def test_table_dimension_mismatch(self):
         table = Tau1Table(delta=3, samples=np.array([0.5, 1.0]), provenance="inversion")
-        with pytest.raises(ValueError):
-            WosDeps.for_mode("table", DISK, table=table)
+        with pytest.raises(ValueError, match="table dimension 3"):
+            wos_batch(np.zeros(2), DISK, 1e-5, table, RngStream(1), 1)
+
+    @pytest.mark.parametrize(
+        "index, radius", [(BesselIndex(3), 1.0), (BesselIndex(2), 2.0)], ids=["dimension", "radius"]
+    )
+    def test_cache_mismatch(self, index, radius):
+        cache = SpectralSeriesCache(index, radius=radius)
+        with pytest.raises(ValueError, match="must be for the unit sphere in dimension 2"):
+            wos_batch(np.zeros(2), DISK, 1e-5, cache, RngStream(1), 1)
 
     def test_unknown_mode(self):
-        deps = WosDeps.for_mode("position_only", DISK)
-        with pytest.raises(ValueError):
-            wos_batch(np.zeros(2), DISK, 1e-5, "bogus", deps, RngStream(1), 1)
-
-    @pytest.mark.parametrize("mode", ["inversion", "table"])
-    def test_missing_deps_rejected_on_entry(self, mode):
-        with pytest.raises(ValueError, match=f"{mode} exit mode requires"):
-            wos_batch(np.zeros(2), DISK, 1e-5, mode, WosDeps(), RngStream(1), 1)
+        # a tau1 source of any type other than a table, a series cache or None is rejected
+        with pytest.raises(ValueError, match="tau1 must be"):
+            wos_batch(np.zeros(2), DISK, 1e-5, "inversion", RngStream(1), 1)
 
 
 class TestWosRun:
     def test_immediate_return(self):
         x0 = np.array([0.0, 1.0 - 1e-6])
-        deps = WosDeps.for_mode("position_only", DISK)
-        out = wos_batch(x0, DISK, 1e-5, "position_only", deps, RngStream(13), 1)
+        out = wos_batch(x0, DISK, 1e-5, None, RngStream(13), 1)
         assert out.steps[0] == 0 and out.exit_times[0] == 0.0
 
     def test_harmonic_identity_small_sample(self):
         # f(x, y) = x^2 - y^2 is harmonic: E f(exit) = f(x0)
-        deps = WosDeps.for_mode("position_only", DISK)
-        batch = wos_batch(np.array([0.3, 0.4]), DISK, 1e-5, "position_only", deps, RngStream(14), 100_000)
+        batch = wos_batch(np.array([0.3, 0.4]), DISK, 1e-5, None, RngStream(14), 100_000)
         proj = batch.projected_positions(1.0)
         f = proj[:, 0] ** 2 - proj[:, 1] ** 2
         tol = 3.0 * f.std(ddof=1) / math.sqrt(f.size)
         assert abs(f.mean() - (0.3**2 - 0.4**2)) < tol
 
     def test_exit_time_agrees_with_woms(self):
-        deps = WosDeps.for_mode("inversion", DISK)
-        wos = wos_batch(np.array([0.5, 0.0]), DISK, 1e-4, "inversion", deps, RngStream(15, 0), 50_000)
+        cache = SpectralSeriesCache(DISK.index)
+        wos = wos_batch(np.array([0.5, 0.0]), DISK, 1e-4, cache, RngStream(15, 0), 50_000)
         woms = woms_batch(np.array([0.5, 0.0]), DISK, 1e-4, 0.99, RngStream(15, 1), 50_000)
         se = math.hypot(
             wos.exit_times.std(ddof=1) / math.sqrt(wos.exit_times.size),
@@ -366,8 +378,8 @@ class TestWosRun:
         # odd-dimension inversion draws exercise half-integer series orders;
         # from (0.4, 0, 0) the exact mean exit time is (1 - 0.16) / 3
         dom = SphereDomain(1.0, 3)
-        deps = WosDeps.for_mode("inversion", dom)
-        res = wos_batch(np.array([0.4, 0.0, 0.0]), dom, 1e-4, "inversion", deps, RngStream(2025), 50_000)
+        cache = SpectralSeriesCache(dom.index)
+        res = wos_batch(np.array([0.4, 0.0, 0.0]), dom, 1e-4, cache, RngStream(2025), 50_000)
         want = (1.0 - 0.16) / 3.0
         tol = 3.0 * res.exit_times.std(ddof=1) / math.sqrt(res.exit_times.size)
         assert abs(res.exit_times.mean() - want) < tol
@@ -375,8 +387,7 @@ class TestWosRun:
 
 class TestRotationalUniformity:
     def test_exit_angles_uniform_from_center(self):
-        deps = WosDeps.for_mode("position_only", DISK)
-        batch = wos_batch(np.zeros(2), DISK, 1e-5, "position_only", deps, RngStream(16), 100_000)
+        batch = wos_batch(np.zeros(2), DISK, 1e-5, None, RngStream(16), 100_000)
         angles = np.arctan2(batch.exit_positions[:, 1], batch.exit_positions[:, 0])
         counts, _ = np.histogram(angles, bins=36, range=(-math.pi, math.pi))
         expected = batch.exit_positions.shape[0] / 36
@@ -417,6 +428,16 @@ class TestEuler:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             euler_batch(np.array([0.5, 0.0]), DISK, 0.0, RngStream(22), 1)
+
+    @pytest.mark.parametrize("h", [math.inf, math.nan])
+    def test_rejects_non_finite_step(self, h):
+        # h = inf made every increment inf, and the exits NaN
+        with pytest.raises(ValueError, match="step size must be positive and finite"):
+            euler_batch(np.array([0.5, 0.0]), DISK, h, RngStream(22), 1)
+
+    def test_rejects_non_finite_start(self):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            euler_batch(np.array([math.nan, 0.0]), DISK, 1e-3, RngStream(22), 1)
 
     def test_step_budget_binds_inside_a_block(self):
         # blocks are up to 1024 steps long; none may run past the budget
@@ -480,6 +501,19 @@ class TestTau1Table:
         with pytest.raises(ValueError):
             Tau1Table(delta=2, samples=np.array([0.5, 0.0]), provenance="euler")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            Tau1Table(delta=2, samples=np.array([0.5, bad]), provenance="euler")
+
+    def test_read_rejects_nan_payload(self, tmp_path):
+        path = tmp_path / "tau.bin"
+        write_table(Tau1Table(delta=2, samples=np.array([0.5, 1.0]), provenance="inversion"), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-8] + struct.pack("<d", math.nan))
+        with pytest.raises(ValueError, match="finite and positive"):
+            read_table(path)
+
 
 class TestPrecomputeTable:
     def test_inversion_mean_is_half(self):
@@ -495,8 +529,7 @@ class TestPrecomputeTable:
 
     def test_table_mode_run_uses_samples(self):
         table = precompute_table(1000, 2, "inversion", RngStream(26))
-        deps = WosDeps.for_mode("table", DISK, table=table)
-        out = wos_batch(np.array([0.5, 0.0]), DISK, 1e-3, "table", deps, RngStream(27), 1)
+        out = wos_batch(np.array([0.5, 0.0]), DISK, 1e-3, table, RngStream(27), 1)
         assert out.exit_times[0] > 0.0
 
     def test_bad_method(self):
