@@ -21,7 +21,6 @@ from .bessel_hitting import (
     hitting_pdf,
     invert_cdf,
     laplace_transform,
-    moving_sphere_param_a,
     psi,
     tail_spectral,
 )

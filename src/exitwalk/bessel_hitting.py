@@ -4,11 +4,13 @@ Everything here concerns the first time the Euclidean norm of a
 delta-dimensional Brownian motion reaches a boundary:
 
 * ``MovingBoundary`` / ``psi`` / ``hitting_pdf``: the shrinking boundary
-  psi(t) = sqrt(2 t ln(a / (Gamma(nu+1) t^(nu+1) 2^nu))) obtained from the
-  method of images with image measure y^(2nu+1) dy, whose hitting law has
-  the closed-form density psi(t)^(2nu+2) / (2 a t) on (0, t_max].
-* ``moving_sphere_param_a``: the per-step choice of a that keeps the
-  moving sphere inside the gamma-shrunk safety ball of radius gamma * d.
+  psi(t) = sqrt(2 (nu+1) t ln(t_max / t)) obtained from the method of
+  images with image measure y^(2nu+1) dy, whose hitting law has the
+  closed-form density ((nu+1) (t/t_max) ln(t_max/t))^(nu+1) / (t Gamma(nu+1))
+  on (0, t_max].
+* ``moving_sphere_t_max`` / ``MovingBoundary.for_step``: the per-step
+  t_max = gamma^2 d^2 e / (2 (nu+1)) that keeps the moving sphere inside
+  the gamma-shrunk safety ball of radius gamma * d.
 * ``SpectralSeriesCache`` / ``tail_spectral``: the spectral series for
   P_0(tau_L > t) with rates j_{nu,k}^2 / (2 L^2).
 * ``laplace_transform``: E_x[exp(-lambda tau_L)] via scaled modified
@@ -22,19 +24,18 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
 
 from .specfun import BesselIndex, bessel_j, bessel_i, bessel_zero, log_gamma
-from .samplers import tau_psi_upper_bound
 
 __all__ = [
     "MovingBoundary",
     "psi",
     "hitting_pdf",
-    "moving_sphere_param_a",
+    "moving_sphere_t_max",
     "SpectralSeriesCache",
     "tail_spectral",
     "laplace_transform",
@@ -52,24 +53,38 @@ FAR_LEAD_EXPONENT = 600.0  # rows whose leading exponent is below minus this ski
 SERIES_BLOCK = 2**15  # terms per block of series rows: a 256 KiB buffer, reused
 
 
+def moving_sphere_t_max(d, gamma: float, index: BesselIndex):
+    """t_max = gamma^2 d^2 e / (2 (nu+1)), which makes sup_t psi(t) = gamma * d.
+
+    Unchecked, as the walker calls it on every step; for_step validates.
+    """
+    return gamma * gamma * d * d * math.e / (2.0 * (index.nu + 1.0))
+
+
 @dataclass(frozen=True)
 class MovingBoundary:
-    """The pair (a, nu) parameterizing the shrinking boundary psi.
+    """The pair (t_max, nu) parameterizing the shrinking boundary psi.
 
-    t_max = (a / (Gamma(nu+1) 2^nu))^(1/(nu+1)) is the right end of the
-    support: psi is real and nonnegative exactly on (0, t_max] and
-    psi(t_max) = 0.  The maximum of psi sits at t_max / e and equals
-    sqrt(2 (nu+1) t_max / e).
+    t_max is the right end of the support: psi is real and nonnegative
+    exactly on (0, t_max] and psi(t_max) = 0.  The maximum of psi sits at
+    t_max / e and equals sqrt(2 (nu+1) t_max / e).
     """
 
-    a: float
+    t_max: float
     index: BesselIndex
-    t_max: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.a <= 0:
-            raise ValueError(f"a must be positive, got {self.a}")
-        object.__setattr__(self, "t_max", tau_psi_upper_bound(self.a, self.index))
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
+
+    @classmethod
+    def for_step(cls, d: float, gamma: float, index: BesselIndex) -> "MovingBoundary":
+        """The boundary of one walk step at distance d, with sup psi = gamma * d."""
+        if d <= 0:
+            raise ValueError(f"distance to boundary must be positive, got {d}")
+        if not 0.0 < gamma < 1.0:
+            raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+        return cls(moving_sphere_t_max(d, gamma, index), index)
 
 
 def psi(t, boundary: MovingBoundary):
@@ -83,10 +98,10 @@ def psi(t, boundary: MovingBoundary):
 
 
 def hitting_pdf(t, boundary: MovingBoundary):
-    """Density psi(t)^(2nu+2) / (2 a t) of the boundary hitting time.
+    """Density ((nu+1) (t/t_max) ln(t_max/t))^(nu+1) / (t Gamma(nu+1)) of the hitting time.
 
-    Evaluated in the equivalent overflow-free form
-    ((nu+1) (t/t_max) ln(t_max/t))^(nu+1) / (t Gamma(nu+1)).
+    Evaluated in log form, so that large nu overflows neither the power nor
+    Gamma(nu+1); the density is exactly 0 at t = t_max.
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0.0) or np.any(t_arr > boundary.t_max):
@@ -94,25 +109,9 @@ def hitting_pdf(t, boundary: MovingBoundary):
     nu = boundary.index.nu
     ratio = t_arr / boundary.t_max
     core = (nu + 1.0) * ratio * np.log(boundary.t_max / t_arr)
-    out = core ** (nu + 1.0) / (t_arr * math.gamma(nu + 1.0))
+    with np.errstate(divide="ignore"):  # log(0) = -inf at t = t_max gives density 0
+        out = np.exp((nu + 1.0) * np.log(core) - log_gamma(nu + 1.0)) / t_arr
     return float(out) if np.isscalar(t) else out
-
-
-def moving_sphere_param_a(d: float, gamma: float, index: BesselIndex) -> float:
-    """Image parameter a = (gamma^2 d^2 e / (nu+1))^(nu+1) Gamma(nu+1) / 2.
-
-    With this choice sup_t psi(t) = gamma * d, so a step of the walk never
-    leaves the ball of radius gamma * d around the current position.
-    """
-    if d <= 0:
-        raise ValueError(f"distance to boundary must be positive, got {d}")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    nu = index.nu
-    a = (gamma * gamma * d * d * math.e / (nu + 1.0)) ** (nu + 1.0) * math.gamma(nu + 1.0) / 2.0
-    if not math.isfinite(a):
-        raise OverflowError(f"parameter a overflows for d={d}, nu={nu}")
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +136,8 @@ class SpectralSeriesCache:
     """
 
     def __init__(self, index: BesselIndex, radius: float = 1.0):
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError(f"radius must be positive and finite, got {radius}")
         self.index = index
         self.radius = float(radius)
         self.t_min = 0.02 * radius * radius

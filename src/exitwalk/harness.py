@@ -21,6 +21,7 @@ from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
+from .specfun import BesselIndex
 from .bessel_hitting import SpectralSeriesCache
 from .samplers import RNG_ALGORITHM, RngStream
 from .specfun import BesselIndex
@@ -74,6 +75,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        BesselIndex(self.delta)  # validates delta
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
         if len(self.x0) != self.delta:
             raise ValueError(f"x0 has {len(self.x0)} coordinates for dimension {self.delta}")
@@ -89,6 +91,8 @@ class ExperimentConfig:
             raise ValueError("trajectories must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
         if not (math.isfinite(self.h) and self.h > 0):
             raise ValueError("h must be positive and finite")
         if self.method == "wos_table" and not self.table_path:

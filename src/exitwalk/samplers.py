@@ -7,8 +7,8 @@ give statistically independent streams with no coordination.  Gaussians
 come from numpy's ziggurat; the algorithm name recorded in result files is
 ``philox4x64-numpy``.
 
-Uniform draws used inside log() transforms are taken in (0, 1] so the
-downstream boundary function sqrt(2t ln(t_max/t)) never sees log(0).
+The tau_psi sampler takes the log of 1 - U, which lies in (0, 1] for a
+uniform U on [0, 1), so it never sees log(0).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import BesselIndex, log_gamma
+from .specfun import BesselIndex
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -27,7 +27,6 @@ __all__ = [
     "sample_unit_direction",
     "sample_tau_psi",
     "sample_inverse_gaussian",
-    "tau_psi_upper_bound",
 ]
 
 RNG_ALGORITHM = "philox4x64-numpy"
@@ -51,10 +50,6 @@ class RngStream:
                 raise ValueError(f"{name} must fit in 64 bits, got {value}")
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self.generator = np.random.Generator(np.random.Philox(key=key))
-
-    def uniform_oc(self, size=None):
-        """Uniform draws on (0, 1]."""
-        return 1.0 - self.generator.random(size)
 
 
 def sample_gaussian(rng: RngStream, size=None):
@@ -111,42 +106,26 @@ def sample_unit_direction(delta: int, rng: RngStream, size: int | None = None):
     return v[0] if size is None else v
 
 
-def tau_psi_upper_bound(a: float, index: BesselIndex) -> float:
-    """t_max = (a / (Gamma(nu+1) 2^nu))^(1/(nu+1)), the support endpoint.
+def sample_tau_psi(t_max: np.ndarray, index: BesselIndex, rng: RngStream):
+    """Hitting times r in (0, t_max] of the boundaries psi, one per entry of t_max.
 
-    Computed directly while the intermediate stays finite, in log space
-    otherwise (large nu).
+    From floor(nu)+2 uniforms per entry, plus a Gaussian G when nu is a
+    half-integer, returns (r, z) with psi(r) = sqrt(2 (nu+1) r z):
+
+        z = (-sum log(1 - U_i) + (nu - floor(nu)) G^2) / (nu+1),  r = t_max exp(-z).
+
+    In dimension 2, r = t_max (1 - U_1)(1 - U_2).  t_max (a 1-D array) is
+    unchecked, as the walker calls this on every step.
     """
-    if a <= 0:
-        raise ValueError(f"a must be positive, got {a}")
     nu = index.nu
-    base = a / (math.gamma(nu + 1.0) * 2.0**nu)
-    if math.isfinite(base) and base > 0.0:
-        return base ** (1.0 / (nu + 1.0))
-    return math.exp((math.log(a) - log_gamma(nu + 1.0) - nu * math.log(2.0)) / (nu + 1.0))
-
-
-def sample_tau_psi(a: float, index: BesselIndex, rng: RngStream, size=None):
-    """Hitting time of the shrinking boundary psi for image parameter a.
-
-    Draws floor(nu)+2 uniforms on (0,1], plus one squared Gaussian when nu
-    is a half-integer, and composes
-
-        R = t_max * (U_1 ... U_m)^(1/(nu+1)) * exp(-(nu-floor(nu))/(nu+1) G^2),
-
-    which for dimension 2 reduces to R = a * U_1 * U_2.  Every draw lies in
-    (0, t_max].
-    """
-    t_max = tau_psi_upper_bound(a, index)
-    nu = index.nu
-    m = int(math.floor(nu)) + 2
-    n = 1 if size is None else size
-    u = rng.uniform_oc((n, m))
-    r = t_max * np.prod(u, axis=-1) ** (1.0 / (nu + 1.0))
+    gen = rng.generator
+    k = t_max.size
+    z = -_row_sums(np.log(1.0 - gen.random((k, int(math.floor(nu)) + 2))))
     if index.frac != 0.0:
-        g = rng.generator.standard_normal(n)
-        r = r * np.exp(-(index.frac / (nu + 1.0)) * g * g)
-    return float(r[0]) if size is None else r
+        g = gen.standard_normal(k)
+        z = z + index.frac * g * g
+    z /= nu + 1.0
+    return t_max * np.exp(-z), z
 
 
 def sample_inverse_gaussian(mu: float, lam: float, rng: RngStream, size=None):

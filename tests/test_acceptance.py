@@ -25,7 +25,6 @@ from exitwalk.bessel_hitting import (
     invert_cdf,
     invert_cdf_batch,
     laplace_transform,
-    moving_sphere_param_a,
     psi,
     tail_spectral,
 )
@@ -182,17 +181,16 @@ def test_criterion_04_sampler_matches_density():
     ok = True
     for delta in (2, 3, 5):
         index = BesselIndex(delta)
-        a = moving_sphere_param_a(0.7, 0.99, index)
-        boundary = MovingBoundary(a, index)
+        boundary = MovingBoundary.for_step(0.7, 0.99, index)
         edges = _quantile_bin_edges(boundary, n_bins)
-        draws = sample_tau_psi(a, index, RngStream(555, delta), size=n)
+        draws = sample_tau_psi(np.full(n, boundary.t_max), index, RngStream(555, delta))[0]
         counts, _ = np.histogram(draws, bins=edges)
         chi2 = float(((counts - n / n_bins) ** 2 / (n / n_bins)).sum())
         p = float(stats.chi2.sf(chi2, n_bins - 1))
         ok = ok and p > 0.001
         details.append(f"delta={delta} p={p:.3f}")
         if delta == 2:
-            dev = abs(draws.mean() - a / 4.0)
+            dev = abs(draws.mean() - boundary.t_max / 4.0)
             clt = 3.0 * draws.std(ddof=1) / math.sqrt(n)
             ok = ok and dev < clt
             details.append(f"mean dev={dev:.2e} (3se {clt:.2e})")
@@ -208,9 +206,8 @@ def test_criterion_05_moving_sphere_safety():
     for delta in (2, 3, 5):
         index = BesselIndex(delta)
         for d in dists[: n_states // 3]:
-            a = moving_sphere_param_a(float(d), gamma, index)
-            boundary = MovingBoundary(a, index)
-            r = sample_tau_psi(a, index, gen, size=draws_per_state)
+            boundary = MovingBoundary.for_step(float(d), gamma, index)
+            r = sample_tau_psi(np.full(draws_per_state, boundary.t_max), index, gen)[0]
             worst = max(worst, float(np.max(psi(r, boundary) - gamma * d)))
     total_draws = 3 * (n_states // 3) * draws_per_state
     sup_ok = True
@@ -218,7 +215,7 @@ def test_criterion_05_moving_sphere_safety():
     for delta in (2, 3, 5):
         index = BesselIndex(delta)
         d = 0.35
-        boundary = MovingBoundary(moving_sphere_param_a(d, gamma, index), index)
+        boundary = MovingBoundary.for_step(d, gamma, index)
         res = optimize.minimize_scalar(
             lambda t: -psi(t, boundary),
             bounds=(1e-12 * boundary.t_max, boundary.t_max),

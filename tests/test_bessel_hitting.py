@@ -21,7 +21,7 @@ from exitwalk.bessel_hitting import (
     invert_cdf,
     invert_cdf_batch,
     laplace_transform,
-    moving_sphere_param_a,
+    moving_sphere_t_max,
     psi,
     tail_spectral,
 )
@@ -40,10 +40,13 @@ def maximize_psi(boundary: MovingBoundary) -> float:
 
 class TestMovingBoundary:
     def test_t_max_dimension_two_is_a(self):
-        mb = MovingBoundary(0.42, BesselIndex(2))
-        assert mb.t_max == 0.42
+        # in dimension 2, t_max is the paper's image parameter a = gamma^2 e d^2 / 2
+        d, gamma = 0.4, 0.7
+        mb = MovingBoundary.for_step(d, gamma, BesselIndex(2))
+        assert mb.t_max == pytest.approx(gamma * gamma * math.e * d * d / 2.0, rel=1e-15)
 
     def test_rejects_nonpositive_a(self):
+        # t_max is positive exactly when the image parameter a is
         with pytest.raises(ValueError):
             MovingBoundary(0.0, BesselIndex(2))
 
@@ -60,19 +63,24 @@ class TestMovingBoundary:
             psi(mb.t_max * (1 + 1e-9), mb)
 
     def test_maximum_dimension_two(self):
-        # maximize 2 t ln(a/t): maximizer a/e, value sqrt(2a/e)
-        a = 1.3
-        mb = MovingBoundary(a, BesselIndex(2))
-        assert psi(a / math.e, mb) == pytest.approx(math.sqrt(2.0 * a / math.e), rel=1e-14)
+        # maximize 2 t ln(t_max/t): maximizer t_max/e, value sqrt(2 t_max/e)
+        t_max = 1.3
+        mb = MovingBoundary(t_max, BesselIndex(2))
+        assert psi(t_max / math.e, mb) == pytest.approx(math.sqrt(2.0 * t_max / math.e), rel=1e-14)
 
     @pytest.mark.parametrize("delta", [2, 3, 5])
     def test_supremum_is_gamma_d(self, delta):
         d, gamma = 0.35, 0.99
-        index = BesselIndex(delta)
-        mb = MovingBoundary(moving_sphere_param_a(d, gamma, index), index)
+        mb = MovingBoundary.for_step(d, gamma, BesselIndex(delta))
         assert maximize_psi(mb) == pytest.approx(gamma * d, abs=1e-10)
         # closed-form check at the analytic maximizer t_max / e
         assert psi(mb.t_max / math.e, mb) == pytest.approx(gamma * d, abs=1e-12)
+
+    @pytest.mark.parametrize("delta", [300, 400])
+    def test_builds_in_large_dimension(self, delta):
+        # the image parameter a of the paper underflows a double at delta = 300; t_max does not
+        mb = MovingBoundary.for_step(0.5, 0.99, BesselIndex(delta))
+        assert psi(mb.t_max / math.e, mb) == pytest.approx(0.99 * 0.5, rel=1e-12)
 
 
 class TestHittingPdf:
@@ -81,22 +89,23 @@ class TestHittingPdf:
         assert hitting_pdf(mb.t_max, mb) == 0.0
 
     def test_dimension_two_closed_form(self):
-        a = 0.62
-        mb = MovingBoundary(a, BesselIndex(2))
-        t = np.linspace(1e-6, a, 200)
-        assert np.allclose(hitting_pdf(t, mb), np.log(a / t) / a, rtol=1e-12)
+        t_max = 0.62
+        mb = MovingBoundary(t_max, BesselIndex(2))
+        t = np.linspace(1e-6, t_max, 200)
+        assert np.allclose(hitting_pdf(t, mb), np.log(t_max / t) / t_max, rtol=1e-12)
 
-    @pytest.mark.parametrize("delta", range(2, 9))
+    # at delta = 400, core^(nu+1) and Gamma(nu+1) overflow a double; the log form does not
+    @pytest.mark.parametrize("delta", [*range(2, 9), 400])
     def test_normalization(self, delta):
         mb = MovingBoundary(0.8, BesselIndex(delta))
         mass, err = integrate.quad(lambda t: hitting_pdf(t, mb), 0.0, mb.t_max, limit=300)
         assert abs(mass - 1.0) < 1e-8
 
     def test_dimension_two_mean(self):
-        a = 0.55
-        mb = MovingBoundary(a, BesselIndex(2))
-        mean, _ = integrate.quad(lambda t: t * hitting_pdf(t, mb), 0.0, a, limit=300)
-        assert mean == pytest.approx(a / 4.0, abs=1e-10)
+        t_max = 0.55
+        mb = MovingBoundary(t_max, BesselIndex(2))
+        mean, _ = integrate.quad(lambda t: t * hitting_pdf(t, mb), 0.0, t_max, limit=300)
+        assert mean == pytest.approx(t_max / 4.0, abs=1e-10)
 
     def test_domain(self):
         mb = MovingBoundary(1.0, BesselIndex(2))
@@ -105,10 +114,16 @@ class TestHittingPdf:
 
 
 class TestMovingSphereParamA:
+    """The per-step boundary parameter t_max, built by MovingBoundary.for_step.
+
+    The paper writes it through the image parameter a, a monotone function
+    of t_max.
+    """
+
     def test_dimension_two_closed_form(self):
         d, gamma = 0.4, 0.7
         expected = gamma * gamma * math.e * d * d / 2.0
-        assert moving_sphere_param_a(d, gamma, BesselIndex(2)) == pytest.approx(expected, rel=1e-15)
+        assert moving_sphere_t_max(d, gamma, BesselIndex(2)) == pytest.approx(expected, rel=1e-15)
 
     @given(
         d=st.floats(min_value=1e-4, max_value=5.0),
@@ -117,19 +132,18 @@ class TestMovingSphereParamA:
     )
     def test_strictly_increasing_in_distance(self, d, gamma, delta):
         index = BesselIndex(delta)
-        assert moving_sphere_param_a(2.0 * d, gamma, index) > moving_sphere_param_a(d, gamma, index)
+        assert (
+            MovingBoundary.for_step(2.0 * d, gamma, index).t_max
+            > MovingBoundary.for_step(d, gamma, index).t_max
+        )
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            moving_sphere_param_a(0.0, 0.5, BesselIndex(2))
+            MovingBoundary.for_step(0.0, 0.5, BesselIndex(2))
         with pytest.raises(ValueError):
-            moving_sphere_param_a(1.0, 1.0, BesselIndex(2))
+            MovingBoundary.for_step(1.0, 1.0, BesselIndex(2))
         with pytest.raises(ValueError):
-            moving_sphere_param_a(1.0, 0.0, BesselIndex(2))
-
-    def test_overflow_signaled(self):
-        with pytest.raises(OverflowError):
-            moving_sphere_param_a(1e200, 0.5, BesselIndex(4))
+            MovingBoundary.for_step(1.0, 0.0, BesselIndex(2))
 
 
 class TestSafetyInvariant:
@@ -137,9 +151,8 @@ class TestSafetyInvariant:
     def test_draws_stay_inside_safety_ball(self, delta):
         d, gamma = 0.8, 0.95
         index = BesselIndex(delta)
-        a = moving_sphere_param_a(d, gamma, index)
-        mb = MovingBoundary(a, index)
-        r = sample_tau_psi(a, index, RngStream(31, delta), size=20_000)
+        mb = MovingBoundary.for_step(d, gamma, index)
+        r = sample_tau_psi(np.full(20_000, mb.t_max), index, RngStream(31, delta))[0]
         assert np.all(psi(r, mb) <= gamma * d + 1e-12)
 
 
@@ -194,6 +207,12 @@ class TestTailSpectral:
     def test_radius_scaling_of_floor(self):
         cache = SpectralSeriesCache(BesselIndex(2), radius=2.0)
         assert cache.t_min == pytest.approx(0.08)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_rejects_non_finite_radius(self, radius):
+        # a NaN radius gave t_min = nan, so the t < t_min guards never fired
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            SpectralSeriesCache(BesselIndex(2), radius=radius)
 
 
 class TestLaplaceTransform:

@@ -135,6 +135,16 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=message):
             small_config(**overrides)
 
+    def test_rejects_dimension_below_two(self):
+        # failed only inside run_experiment before
+        with pytest.raises(ValueError, match="dimension must be >= 2"):
+            small_config(delta=1, x0=(0.5,))
+
+    def test_rejects_step_budget_below_one(self):
+        # surfaced as "StepBudgetError: step budget -1 exceeded" before
+        with pytest.raises(ValueError, match="max_steps must be >= 1"):
+            small_config(max_steps=-1)
+
 
 class TestRunExperiment:
     def test_mean_exit_time(self):

@@ -13,7 +13,6 @@ from exitwalk.samplers import (
     sample_inverse_gaussian,
     sample_tau_psi,
     sample_unit_direction,
-    tau_psi_upper_bound,
 )
 
 N_BIG = 10**6
@@ -31,11 +30,6 @@ class TestRngStream:
         a = RngStream(seed=2024, stream_id=0)
         b = RngStream(seed=2024, stream_id=1)
         assert sample_gaussian(a, size=16).tolist() != sample_gaussian(b, size=16).tolist()
-
-    def test_uniform_oc_stays_positive(self):
-        rng = RngStream(seed=5)
-        u = rng.uniform_oc(10**5)
-        assert np.all(u > 0.0) and np.all(u <= 1.0)
 
     def test_seed_bounds(self):
         with pytest.raises(ValueError):
@@ -97,47 +91,39 @@ class TestUnitDirection:
 
 class TestTauPsi:
     def test_dimension_two_is_product_of_two_uniforms(self):
-        a = 0.37
+        t_max = 0.37
         rng = RngStream(77, 1)
-        r = sample_tau_psi(a, BesselIndex(2), rng)
+        r = sample_tau_psi(np.array([t_max]), BesselIndex(2), rng)[0][0]
         replay = RngStream(77, 1)
-        u = replay.uniform_oc((1, 2))[0]
-        # identical draws, equal up to multiplication order
-        assert r == pytest.approx(a * u[0] * u[1], rel=1e-15)
+        u = 1.0 - replay.generator.random((1, 2))[0]
+        # identical draws, equal up to the exp-of-log-sum rounding
+        assert r == pytest.approx(t_max * u[0] * u[1], rel=1e-15)
 
     @given(
-        a=st.floats(min_value=1e-6, max_value=10.0),
+        t_max=st.floats(min_value=1e-6, max_value=10.0),
         delta=st.integers(min_value=2, max_value=9),
         seed=st.integers(min_value=0, max_value=2**32),
     )
     @settings(max_examples=60)
-    def test_support(self, a, delta, seed):
-        index = BesselIndex(delta)
-        r = sample_tau_psi(a, index, RngStream(seed), size=64)
-        t_max = tau_psi_upper_bound(a, index)
+    def test_support(self, t_max, delta, seed):
+        r = sample_tau_psi(np.full(64, t_max), BesselIndex(delta), RngStream(seed))[0]
         assert np.all(r > 0.0)
         assert np.all(r <= t_max)
 
     def test_mean_dimension_two(self):
-        # E[a U1 U2] = a/4; cross-checked against the density ln(a/t)/a.
-        a = 0.8
-        quad_mean, _ = integrate.quad(lambda t: t * math.log(a / t) / a, 0.0, a)
-        assert quad_mean == pytest.approx(a / 4.0, abs=1e-12)
-        r = sample_tau_psi(a, BesselIndex(2), RngStream(3), size=N_BIG)
+        # E[t_max U1 U2] = t_max/4; cross-checked against the density ln(t_max/t)/t_max.
+        t_max = 0.8
+        quad_mean, _ = integrate.quad(lambda t: t * math.log(t_max / t) / t_max, 0.0, t_max)
+        assert quad_mean == pytest.approx(t_max / 4.0, abs=1e-12)
+        r = sample_tau_psi(np.full(N_BIG, t_max), BesselIndex(2), RngStream(3))[0]
         tol = 3.0 * r.std(ddof=1) / math.sqrt(N_BIG)
-        assert abs(r.mean() - a / 4.0) < tol
+        assert abs(r.mean() - t_max / 4.0) < tol
 
     def test_replay(self):
         idx = BesselIndex(5)
-        r1 = sample_tau_psi(1.3, idx, RngStream(15, 2), size=50)
-        r2 = sample_tau_psi(1.3, idx, RngStream(15, 2), size=50)
+        r1 = sample_tau_psi(np.full(50, 1.3), idx, RngStream(15, 2))
+        r2 = sample_tau_psi(np.full(50, 1.3), idx, RngStream(15, 2))
         assert np.array_equal(r1, r2)
-
-    def test_rejects_bad_a(self):
-        with pytest.raises(ValueError):
-            sample_tau_psi(0.0, BesselIndex(2), RngStream(1))
-        with pytest.raises(ValueError):
-            sample_tau_psi(-1.0, BesselIndex(2), RngStream(1))
 
 
 class TestInverseGaussian:

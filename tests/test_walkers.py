@@ -7,14 +7,8 @@ import pytest
 from scipy import stats
 
 from exitwalk.specfun import BesselIndex
-from exitwalk.samplers import RngStream
-from exitwalk.bessel_hitting import (
-    MovingBoundary,
-    SpectralSeriesCache,
-    invert_cdf,
-    moving_sphere_param_a,
-    psi,
-)
+from exitwalk.samplers import RngStream, sample_tau_psi, sample_unit_direction
+from exitwalk.bessel_hitting import MovingBoundary, SpectralSeriesCache, invert_cdf, psi
 from exitwalk.walkers import (
     BatchResult,
     SphereDomain,
@@ -61,14 +55,14 @@ def _unit_angle(rng: RngStream) -> np.ndarray:
 
 
 def _woms_psi_step(gamma: float):
-    """A moving-sphere step built from moving_sphere_param_a and psi."""
+    """A moving-sphere step built from MovingBoundary.for_step and psi."""
 
     def step(x, rng):
         d = 1.0 - np.linalg.norm(x)
-        a = moving_sphere_param_a(d, gamma, DISK.index)
-        u, v = rng.uniform_oc((1, 2))[0]
-        r = a * u * v
-        disp = psi(r, MovingBoundary(a, DISK.index))
+        boundary = MovingBoundary.for_step(d, gamma, DISK.index)
+        u, v = 1.0 - rng.generator.random((1, 2))[0]
+        r = boundary.t_max * u * v
+        disp = psi(r, boundary)
         assert disp <= gamma * d
         return x + disp * _unit_angle(rng), r
 
@@ -119,15 +113,29 @@ class TestWomsStep:
 
     def test_dimension_two_reduction_replays_three_uniforms(self):
         def step(x, rng):
-            u, v = rng.uniform_oc((1, 2))[0]
+            u, v = 1.0 - rng.generator.random((1, 2))[0]
             d = 1.0 - np.linalg.norm(x)
-            a = 0.9**2 * math.e / 2.0 * d * d
-            r = a * u * v
-            return x + math.sqrt(2.0 * r * math.log(a / r)) * _unit_angle(rng), r
+            t_max = 0.9**2 * math.e / 2.0 * d * d
+            r = t_max * u * v
+            return x + math.sqrt(2.0 * r * math.log(t_max / r)) * _unit_angle(rng), r
 
         x0 = np.array([0.2, -0.4])
         res = woms_batch(x0, DISK, 1e-4, 0.9, RngStream(8, 3), 1)
         _assert_replayed(res, _replay_disk(x0, 1e-4, RngStream(8, 3), step))
+
+    @pytest.mark.parametrize("delta", [2, 3, 5, 10])
+    def test_first_step_draws_through_sample_tau_psi(self, delta):
+        # the sampler that criteria 4 and 5 check is the walker's own draw, bit for bit
+        x0 = np.zeros(delta)
+        x0[0] = 0.3
+        domain = SphereDomain(1.0, delta)
+        with pytest.raises(StepBudgetError) as err:
+            woms_batch(x0, domain, 1e-5, 0.99, RngStream(12, delta), 64, max_steps=1)
+        rng, nu = RngStream(12, delta), domain.index.nu
+        t_max = MovingBoundary.for_step(1.0 - x0[0], 0.99, domain.index).t_max
+        r, z = sample_tau_psi(np.full(64, t_max), domain.index, rng)
+        replay = x0 + sample_unit_direction(delta, rng, 64) * np.sqrt(2.0 * (nu + 1.0) * r * z)[:, None]
+        assert np.array_equal(err.value.state["positions"], replay)
 
     def test_small_gamma_caps_displacement(self):
         # 200 first steps from one state, as the budget stops every walker after one
