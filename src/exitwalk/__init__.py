@@ -15,11 +15,9 @@ from .samplers import (
     sample_unit_direction,
 )
 from .bessel_hitting import (
-    InversionConfig,
     MovingBoundary,
     SpectralSeriesCache,
     hitting_pdf,
-    invert_cdf,
     laplace_transform,
     psi,
     tail_spectral,

@@ -12,18 +12,19 @@ delta-dimensional Brownian motion reaches a boundary:
   t_max = gamma^2 d^2 e / (2 (nu+1)) that keeps the moving sphere inside
   the gamma-shrunk safety ball of radius gamma * d.
 * ``SpectralSeriesCache`` / ``tail_spectral``: the spectral series for
-  P_0(tau_L > t) with rates j_{nu,k}^2 / (2 L^2).
+  P_0(tau_L > t) with rates j_{nu,k}^2 / (2 L^2), its term table fixed
+  and read-only once built.
 * ``laplace_transform``: E_x[exp(-lambda tau_L)] via scaled modified
   Bessel functions.
-* ``invert_cdf``: numerical inversion of F(t) = P(tau_L <= t) by
+* ``invert_cdf_batch``: numerical inversion of F(t) = P(tau_L <= t) by
   safeguarded Newton on the series, with a small-time fallback below the
-  series' validity floor.
+  series' validity floor.  Its tolerance and iteration caps are the module
+  constants NEWTON_TOL, NEWTON_MAX_ITER and MAX_BRACKET_GROWTH.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +40,8 @@ __all__ = [
     "SpectralSeriesCache",
     "tail_spectral",
     "laplace_transform",
-    "InversionConfig",
     "InversionError",
     "SeriesTruncationError",
-    "invert_cdf",
     "invert_cdf_batch",
 ]
 
@@ -122,17 +121,28 @@ class SeriesTruncationError(RuntimeError):
     """The term bound was not met within the truncation cap."""
 
 
+def _first_below(zeros, coeffs, t: float, radius: float) -> int:
+    # 1 + the index of the first term below TERM_FLOOR at t, or 0 if none is.
+    rate = t / (2.0 * radius**2)
+    mags = np.abs(coeffs) * np.exp(-(zeros**2) * rate)
+    below = np.nonzero(mags < TERM_FLOOR)[0]
+    return int(below[0]) + 1 if below.size else 0
+
+
 class SpectralSeriesCache:
-    """Zeros and coefficients of the tail series for tau_L, start at 0.
+    """The fixed term table of the tail series for tau_L, start at 0.
 
     Terms are c_k exp(-j_{nu,k}^2 t / (2 L^2)) with
     c_k = j_{nu,k}^(nu-1) / J_{nu+1}(j_{nu,k}) scaled by
-    1 / (2^(nu-1) Gamma(nu+1)).  The table grows on demand and is safe to
-    share across threads; readers always observe a complete prefix.
+    1 / (2^(nu-1) Gamma(nu+1)).
 
     The series needs O(L/sqrt(t)) terms as t -> 0, so evaluation is
-    refused below t_min = 0.02 L^2; that keeps the truncation under the
-    K_MAX cap in double precision.
+    refused below t_min = 0.02 L^2, and the table holds exactly the
+    k = terms_needed(t_min) terms that t_min needs.  Every term shrinks as
+    t grows, so no t >= t_min needs more.  The read-only arrays zeros,
+    coeffs and rates and cdf_floor = F(t_min), below which the inversion
+    falls back to the small-time law, are all fixed when the cache is
+    built, so one cache is safe to share across threads.
     """
 
     def __init__(self, index: BesselIndex, radius: float = 1.0):
@@ -142,50 +152,34 @@ class SpectralSeriesCache:
         self.radius = float(radius)
         self.t_min = 0.02 * radius * radius
         self.clamp_count = 0
-        self._lock = threading.Lock()
-        # (zeros j_{nu,k}, coefficients c_k, rates j_{nu,k}^2 / (2 L^2)),
-        # always of equal length and replaced together as one tuple.
-        self._table = (np.empty(0), np.empty(0), np.empty(0))
-        self._cdf_floor: float | None = None
-
-    def _ensure_terms(self, k: int) -> None:
-        if len(self._table[0]) >= k:
-            return
-        with self._lock:
-            if len(self._table[0]) >= k:
-                return
-            nu = self.index.nu
-            prefactor = math.exp(-(nu - 1.0) * math.log(2.0) - log_gamma(nu + 1.0))
-            zeros = [bessel_zero(nu, i + 1) for i in range(k)]
-            coeffs = [prefactor * z ** (nu - 1.0) / bessel_j(nu + 1.0, z) for z in zeros]
-            zeros = np.asarray(zeros)
-            rates = zeros**2 / (2.0 * self.radius**2)
-            # One assignment, so concurrent readers never see a partially
-            # written table or arrays of different lengths.
-            self._table = (zeros, np.asarray(coeffs), rates)
-
-    def terms(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The first k (zeros, coefficients, rates), computed on demand."""
-        self._ensure_terms(k)
-        zeros, coeffs, rates = self._table
-        return zeros[:k], coeffs[:k], rates[:k]
+        nu = index.nu
+        prefactor = math.exp(-(nu - 1.0) * math.log(2.0) - log_gamma(nu + 1.0))
+        zeros: list[float] = []
+        coeffs: list[float] = []
+        k = 0
+        while not k:  # 8, 16, 32, ... terms until one is below TERM_FLOOR at t_min
+            if len(zeros) == K_MAX:
+                raise SeriesTruncationError(
+                    f"term bound {TERM_FLOOR} not met within K_MAX={K_MAX} at t={self.t_min}"
+                )
+            for i in range(len(zeros), min(max(8, 2 * len(zeros)), K_MAX)):
+                z = bessel_zero(nu, i + 1)
+                zeros.append(z)
+                coeffs.append(prefactor * z ** (nu - 1.0) / bessel_j(nu + 1.0, z))
+            k = _first_below(np.asarray(zeros), np.asarray(coeffs), self.t_min, self.radius)
+        self.k = k
+        self.zeros, self.coeffs = np.asarray(zeros[:k]), np.asarray(coeffs[:k])
+        self.rates = self.zeros**2 / (2.0 * self.radius**2)
+        for arr in (self.zeros, self.coeffs, self.rates):
+            arr.flags.writeable = False
+        tail, _ = self.series_eval(self.t_min, k)
+        self.cdf_floor = max(0.0, 1.0 - float(tail[0]))
 
     def terms_needed(self, t: float) -> int:
-        """Smallest K whose K-th term magnitude is below TERM_FLOOR at t."""
-        rate = t / (2.0 * self.radius**2)
-        k = 8
-        while True:
-            self._ensure_terms(min(k, K_MAX))
-            zeros, coeffs, _ = self._table
-            mags = np.abs(coeffs) * np.exp(-(zeros**2) * rate)
-            below = np.nonzero(mags < TERM_FLOOR)[0]
-            if below.size:
-                return int(below[0]) + 1
-            if k >= K_MAX:
-                raise SeriesTruncationError(
-                    f"term bound {TERM_FLOOR} not met within K_MAX={K_MAX} at t={t}"
-                )
-            k = min(2 * k, K_MAX)
+        """Smallest K whose K-th term magnitude is below TERM_FLOOR at t >= t_min."""
+        if not t >= self.t_min:
+            raise ValueError(f"t={t} below series validity floor t_min={self.t_min}")
+        return _first_below(self.zeros, self.coeffs, t, self.radius)
 
     def series_eval(self, t, k: int):
         """(tail, pdf) partial sums with k terms; no clamping, no guards.
@@ -210,9 +204,9 @@ class SpectralSeriesCache:
         allocated, which keeps both the peak and the memory the allocator
         retains afterwards small for large batches.
         """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        _, coeffs, rates = self.terms(k)
+        if not 1 <= k <= self.k:
+            raise ValueError(f"k must lie in [1, {self.k}], got {k}")
+        coeffs, rates = self.coeffs[:k], self.rates[:k]
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         n = len(t_arr)
         tail = np.empty(n)
@@ -238,25 +232,13 @@ class SpectralSeriesCache:
             pdf[far] = (e * rates).sum(axis=1)
         return tail, pdf
 
-    def cdf_floor(self) -> float:
-        """F(t_min): draws below this quantile fall back to the small-time law."""
-        if self._cdf_floor is None:
-            k = self.terms_needed(self.t_min)
-            tail, _ = self.series_eval(self.t_min, k)
-            self._cdf_floor = max(0.0, 1.0 - float(tail[0]))
-        return self._cdf_floor
-
 
 def tail_spectral(t: float, cache: SpectralSeriesCache) -> float:
     """Survival probability P_0(tau_L > t), clamped to [0, 1].
 
     Refuses t below the cache's validity floor t_min, where the truncated
-    series is unreliable.
+    series is unreliable, and NaN.
     """
-    if t < cache.t_min:
-        raise ValueError(
-            f"t={t} below series validity floor t_min={cache.t_min}"
-        )
     k = cache.terms_needed(t)
     tail, _ = cache.series_eval(t, k)
     value = float(tail[0])
@@ -273,10 +255,10 @@ def laplace_transform(lam: float, x: float, L: float, index: BesselIndex) -> flo
     overflow: the x > 0 form is (L/x)^nu I_nu(x s) / I_nu(L s) and the
     x = 0 form is (L s)^nu / (2^nu Gamma(nu+1) I_nu(L s)), s = sqrt(2 lambda).
     """
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if L <= 0:
-        raise ValueError(f"L must be positive, got {L}")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
+    if not (math.isfinite(L) and L > 0):
+        raise ValueError(f"L must be positive and finite, got {L}")
     if not 0.0 <= x <= L:
         raise ValueError(f"x must lie in [0, L], got {x}")
     if x == L:
@@ -304,11 +286,9 @@ def laplace_transform(lam: float, x: float, L: float, index: BesselIndex) -> flo
 # CDF inversion
 
 
-@dataclass(frozen=True)
-class InversionConfig:
-    tol: float = 1e-12          # |F(t) - u| target (spec requires <= 1e-10)
-    max_iter: int = 100
-    max_bracket_growth: int = 200
+NEWTON_TOL = 1e-12  # |F(t) - u| target (spec requires <= 1e-10)
+NEWTON_MAX_ITER = 100
+MAX_BRACKET_GROWTH = 200  # doublings of the right end of the bracket
 
 
 class InversionError(RuntimeError):
@@ -326,18 +306,8 @@ def _small_time_quantile(u, L: float):
     return L * L / (z * z)
 
 
-def invert_cdf(u: float, cache: SpectralSeriesCache, config: InversionConfig | None = None) -> float:
-    """Quantile t with |F(t) - u| below tolerance, F(t) = 1 - tail_spectral(t)."""
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"u must lie in (0, 1), got {u}")
-    out = invert_cdf_batch(np.array([u]), cache, config)
-    return float(out[0])
-
-
-def invert_cdf_batch(
-    u: np.ndarray, cache: SpectralSeriesCache, config: InversionConfig | None = None
-) -> np.ndarray:
-    """Vectorized quantile inversion; same contract as invert_cdf per entry.
+def invert_cdf_batch(u: np.ndarray, cache: SpectralSeriesCache) -> np.ndarray:
+    """Quantiles t with |F(t) - u| <= NEWTON_TOL, F(t) = 1 - tail_spectral(t), per entry.
 
     Safeguarded Newton on the series with its term-by-term derivative,
     falling back to bisection whenever a Newton step leaves the bracket.
@@ -345,15 +315,13 @@ def invert_cdf_batch(
     disk) are resolved with the small-time one-sided approximation because
     the series itself is refused there.
     """
-    cfg = config or InversionConfig()
     u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
+    if not np.all((u > 0.0) & (u < 1.0)):  # also refuses NaN
         raise ValueError("all quantiles must lie in (0, 1)")
     L = cache.radius
     out = np.empty_like(u)
 
-    floor = cache.cdf_floor()
-    tiny = u <= floor
+    tiny = u <= cache.cdf_floor
     if np.any(tiny):
         out[tiny] = _small_time_quantile(u[tiny], L)
     work = np.nonzero(~tiny)[0]
@@ -361,19 +329,17 @@ def invert_cdf_batch(
         return out
 
     uw = u[work]
-    k = cache.terms_needed(cache.t_min)
-    zeros, coeffs, _ = cache.terms(1)
-    j1, c1 = float(zeros[0]), float(coeffs[0])
+    j1, c1 = float(cache.zeros[0]), float(cache.coeffs[0])
 
     def f_df(t):
-        tail, pdf = cache.series_eval(t, k)
+        tail, pdf = cache.series_eval(t, cache.k)
         return 1.0 - tail, pdf
 
     # Per-element bracket [lo, hi] with F(lo) <= u <= F(hi).
     lo = np.full(uw.shape, cache.t_min)
     one_term = (2.0 * L * L / (j1 * j1)) * np.log(np.maximum(c1, 1.0 + 1e-9) / (1.0 - uw))
     hi = np.maximum(one_term, 2.0 * cache.t_min)
-    for _ in range(cfg.max_bracket_growth):
+    for _ in range(MAX_BRACKET_GROWTH):
         f_hi, _ = f_df(hi)
         short = f_hi < uw
         if not np.any(short):
@@ -392,10 +358,10 @@ def invert_cdf_batch(
 
     active = np.arange(uw.size)
     t_val = x.copy()
-    for _ in range(cfg.max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         f, df = f_df(t_val[active])
         resid = f - uw[active]
-        done = np.abs(resid) <= cfg.tol
+        done = np.abs(resid) <= NEWTON_TOL
         if np.any(done):
             keep = ~done
             active = active[keep]
@@ -415,7 +381,7 @@ def invert_cdf_batch(
     if active.size:
         bad = int(active[0])
         raise InversionError(
-            f"no convergence after {cfg.max_iter} iterations",
+            f"no convergence after {NEWTON_MAX_ITER} iterations",
             (float(lo[bad]), float(hi[bad])),
         )
     out[work] = t_val

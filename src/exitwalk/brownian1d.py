@@ -56,37 +56,32 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 class Boundary1D:
     """A one-sided moving boundary psi with its derivative.
 
-    kind is "constant", "line" or "general"; level/slope carry the line
-    parameters when they apply.  psi(0+) must be positive: the walker
-    starts strictly below the boundary.
+    kind is "constant", "line" or "general".  psi(0+) must be positive:
+    the walker starts strictly below the boundary.
     """
 
     psi: Callable[[float], float]
     psi_prime: Callable[[float], float]
     kind: str = "general"
-    level: float | None = None
-    slope: float | None = None
 
     @staticmethod
     def constant(L: float) -> "Boundary1D":
-        if L <= 0:
-            raise ValueError(f"level must be positive, got {L}")
-        return Boundary1D(lambda t: L, lambda t: 0.0, kind="constant", level=L, slope=0.0)
+        if not (math.isfinite(L) and L > 0):
+            raise ValueError(f"level must be positive and finite, got {L}")
+        return Boundary1D(lambda t: L, lambda t: 0.0, kind="constant")
 
     @staticmethod
     def line(L: float, beta: float) -> "Boundary1D":
-        if L <= 0:
-            raise ValueError(f"level must be positive, got {L}")
-        if beta < 0:
-            raise ValueError(f"slope must be >= 0, got {beta}")
-        return Boundary1D(
-            lambda t: L + beta * t, lambda t: beta, kind="line", level=L, slope=beta
-        )
+        if not (math.isfinite(L) and L > 0):
+            raise ValueError(f"level must be positive and finite, got {L}")
+        if not (math.isfinite(beta) and beta >= 0):
+            raise ValueError(f"slope must be >= 0 and finite, got {beta}")
+        return Boundary1D(lambda t: L + beta * t, lambda t: beta, kind="line")
 
     @staticmethod
     def general(psi: Callable[[float], float], psi_prime: Callable[[float], float]) -> "Boundary1D":
-        if psi(1e-12) <= 0:
-            raise ValueError("boundary must start above the origin (psi(0+) > 0)")
+        if not 0 < psi(1e-12) < math.inf:
+            raise ValueError("boundary must start finite and above the origin (0 < psi(0+) < inf)")
         return Boundary1D(psi, psi_prime, kind="general")
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
-from .specfun import BesselIndex
 from .bessel_hitting import SpectralSeriesCache
 from .samplers import RNG_ALGORITHM, RngStream
 from .specfun import BesselIndex
@@ -225,8 +224,6 @@ def run_experiment(config: ExperimentConfig, table: Tau1Table | None = None) -> 
         tau1 = table if table is not None else read_table(config.table_path)
     elif config.method == "wos_inversion":
         tau1 = SpectralSeriesCache(BesselIndex(config.delta))
-        # Warm the series table so the timed loop measures sampling only.
-        tau1.terms_needed(tau1.t_min)
 
     counts = _worker_counts(config.trajectories, config.workers)
     start = time.perf_counter()

@@ -1,7 +1,5 @@
 import hashlib
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -12,13 +10,13 @@ from scipy import special as sp
 from exitwalk.specfun import BesselIndex
 from exitwalk.harness import ExperimentConfig, run_experiment, run_result_document
 from exitwalk.samplers import RngStream, sample_tau_psi
+from exitwalk import bessel_hitting
 from exitwalk.bessel_hitting import (
-    InversionConfig,
     InversionError,
     MovingBoundary,
+    SeriesTruncationError,
     SpectralSeriesCache,
     hitting_pdf,
-    invert_cdf,
     invert_cdf_batch,
     laplace_transform,
     moving_sphere_t_max,
@@ -187,9 +185,11 @@ class TestTailSpectral:
             assert abs(float(tail_k[0]) - float(tail_k1[0])) < 1e-12
 
     def test_refuses_below_floor(self):
+        # t < t_min is False for NaN, which then ran the series out of terms at K_MAX
         cache = SpectralSeriesCache(BesselIndex(2), radius=1.0)
-        with pytest.raises(ValueError):
-            tail_spectral(0.5 * cache.t_min, cache)
+        for t in (0.5 * cache.t_min, math.nan):
+            with pytest.raises(ValueError, match="below series validity floor"):
+                tail_spectral(t, cache)
 
     def test_survival_matches_inversion_sampler(self):
         # self-consistency: the empirical survival of 1e6 quantile-inverted
@@ -246,6 +246,10 @@ class TestLaplaceTransform:
             laplace_transform(0.0, 0.5, 1.0, BesselIndex(2))
         with pytest.raises(ValueError):
             laplace_transform(1.0, 1.5, 1.0, BesselIndex(2))
+        # min(1.0, nan) is 1.0, so a NaN or infinite lambda came back as 1.0
+        for lam, L in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                laplace_transform(lam, 0.0, L, BesselIndex(2))
 
 
 @pytest.fixture(scope="module")
@@ -258,11 +262,11 @@ class TestInvertCdf:
     @pytest.mark.parametrize("t", [0.1, 0.3, 1.0])
     def test_round_trip(self, cache, t):
         u = 1.0 - tail_spectral(t, cache)
-        assert invert_cdf(u, cache) == pytest.approx(t, abs=1e-8)
+        assert invert_cdf_batch(np.array([u]), cache)[0] == pytest.approx(t, abs=1e-8)
 
     def test_residual_tolerance(self, cache):
-        for u in (0.01, 0.2, 0.5, 0.9, 0.999):
-            t = invert_cdf(u, cache)
+        ts = invert_cdf_batch(np.array([0.01, 0.2, 0.5, 0.9, 0.999]), cache)
+        for u, t in zip((0.01, 0.2, 0.5, 0.9, 0.999), ts):
             assert abs((1.0 - tail_spectral(t, cache)) - u) <= 1e-10
 
     def test_monotone_in_u(self, cache):
@@ -282,7 +286,7 @@ class TestInvertCdf:
         assert stats.ks_2samp(scaled, direct).statistic < 0.002
 
     def test_tiny_quantile_uses_small_time_law(self, cache):
-        t = invert_cdf(1e-13, cache)
+        t = invert_cdf_batch(np.array([1e-13]), cache)[0]
         assert 0.0 < t < cache.t_min
 
     @pytest.mark.parametrize("delta", [3, 5])
@@ -291,18 +295,21 @@ class TestInvertCdf:
         other = SpectralSeriesCache(BesselIndex(delta), radius=1.0)
         for t in (0.1, 0.4, 1.0):
             u = 1.0 - tail_spectral(t, other)
-            assert invert_cdf(u, other) == pytest.approx(t, abs=1e-8)
+            assert invert_cdf_batch(np.array([u]), other)[0] == pytest.approx(t, abs=1e-8)
 
-    def test_convergence_failure_carries_bracket(self, cache):
+    def test_convergence_failure_carries_bracket(self, cache, monkeypatch):
+        monkeypatch.setattr(bessel_hitting, "NEWTON_TOL", 1e-16)
+        monkeypatch.setattr(bessel_hitting, "NEWTON_MAX_ITER", 1)
         with pytest.raises(InversionError) as err:
-            invert_cdf(0.4, cache, InversionConfig(tol=1e-16, max_iter=1))
+            invert_cdf_batch(np.array([0.4]), cache)
         lo, hi = err.value.bracket
         assert lo < hi
 
     def test_rejects_bad_quantiles(self, cache):
-        for u in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ValueError):
-                invert_cdf(u, cache)
+        # u <= 0 or u >= 1 is False for NaN, which then ran Newton to its cap
+        for u in (0.0, 1.0, -0.5, 2.0, math.nan):
+            with pytest.raises(ValueError, match="must lie in"):
+                invert_cdf_batch(np.array([0.5, u]), cache)
 
 
 class TestLaplaceMonteCarloConsistency:
@@ -320,7 +327,7 @@ class TestLaplaceMonteCarloConsistency:
 
 def reference_series_eval(cache, t, k):
     """The plain formula series_eval must reproduce bit for bit."""
-    zeros, coeffs, _ = cache.terms(k)
+    zeros, coeffs = cache.zeros[:k], cache.coeffs[:k]
     rates = zeros**2 / (2.0 * cache.radius**2)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     e = coeffs * np.exp(-np.outer(t_arr, rates))
@@ -331,6 +338,10 @@ def reference_series_eval(cache, t, k):
 
 def bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
+
+
+def sha(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()[:16]
 
 
 class TestSeriesEvalExactness:
@@ -345,7 +356,7 @@ class TestSeriesEvalExactness:
         cache = SpectralSeriesCache(BesselIndex(delta), radius=1.0)
         uniform = RngStream(404, delta).generator.uniform(cache.t_min, 5.0, 4000)
         t = np.concatenate([np.geomspace(cache.t_min, 1e3, 4000), uniform])
-        for k in (1, 5, cache.terms_needed(cache.t_min), 60, 200):
+        for k in (1, 5, 8, cache.k):
             tail, pdf = cache.series_eval(t, k)
             ref_tail, ref_pdf = reference_series_eval(cache, t, k)
             assert np.array_equal(bits(tail), bits(ref_tail)), (delta, k)
@@ -353,10 +364,9 @@ class TestSeriesEvalExactness:
 
     def test_scalar_and_other_radius(self):
         cache = SpectralSeriesCache(BesselIndex(3), radius=1.7)
-        k = cache.terms_needed(cache.t_min)
         for t in (cache.t_min, 0.3, 40.0, 400.0, 5e3):
-            got = cache.series_eval(t, k)
-            ref = reference_series_eval(cache, t, k)
+            got = cache.series_eval(t, cache.k)
+            ref = reference_series_eval(cache, t, cache.k)
             assert bits(got[0]) == bits(ref[0]) and bits(got[1]) == bits(ref[1])
 
     def test_rejects_empty_series(self):
@@ -364,37 +374,56 @@ class TestSeriesEvalExactness:
         with pytest.raises(ValueError):
             cache.series_eval(0.5, 0)
 
-    def test_terms_grow_consistently(self):
-        cache = SpectralSeriesCache(BesselIndex(2), radius=2.0)
-        first = cache.terms(3)
-        zeros, coeffs, rates = cache.terms(40)
-        assert len(zeros) == len(coeffs) == len(rates) == 40
-        assert np.array_equal(zeros[:3], first[0]) and np.array_equal(coeffs[:3], first[1])
-        assert np.array_equal(rates, zeros**2 / (2.0 * 2.0**2))
+    def test_rejects_more_terms_than_the_table(self):
+        cache = SpectralSeriesCache(BesselIndex(2), radius=1.0)
+        with pytest.raises(ValueError, match=f"k must lie in \\[1, {cache.k}\\]"):
+            cache.series_eval(0.5, cache.k + 1)
 
-    def test_concurrent_growth_keeps_arrays_aligned(self):
-        # Threads grow one shared cache while reading it, as harness workers do.
+
+class TestFixedCache:
+    """The term table is built once, from t_min, and never changes."""
+
+    # k, SHA-256 prefixes of zeros, coeffs and rates, and cdf_floor.hex(),
+    # captured from the grow-on-demand cache this one replaced
+    @pytest.mark.parametrize(
+        "delta, radius, k, zeros, coeffs, rates, floor",
+        [
+            (2, 0.5, 19, "b54d519ac52ff2a9", "f1e95726adcf556a", "51f38e477edc2aec", "0x1.e3ec800000000p-36"),
+            (2, 1.0, 19, "b54d519ac52ff2a9", "f1e95726adcf556a", "6279901eac09293b", "0x1.e3ec800000000p-36"),
+            (2, 1.7, 19, "b54d519ac52ff2a9", "f1e95726adcf556a", "3d852899ac212428", "0x1.e3ed000000000p-36"),
+            (3, 0.5, 19, "1d0777e9254c01ae", "57ea9f0e96611ff9", "b133e9b9451b76fc", "0x1.5894800000000p-33"),
+            (3, 1.0, 19, "1d0777e9254c01ae", "57ea9f0e96611ff9", "b4c029014edde54b", "0x1.5894800000000p-33"),
+            (3, 1.7, 19, "1d0777e9254c01ae", "57ea9f0e96611ff9", "c2b94a50f3e12da5", "0x1.5894900000000p-33"),
+            (5, 0.5, 19, "9d1814625b633800", "1ed29ebf4b891093", "d70bdfc1b1de7ef5", "0x1.6e489e0000000p-29"),
+            (5, 1.0, 19, "9d1814625b633800", "1ed29ebf4b891093", "14d80c92a75e827a", "0x1.6e489e0000000p-29"),
+            (5, 1.7, 19, "9d1814625b633800", "1ed29ebf4b891093", "2b92563bb5d2f2f1", "0x1.6e48920000000p-29"),
+            (8, 0.5, 19, "1306358d48f8cf0a", "ac6e98bc5e63c4b6", "03c5ebbf36e42b2d", "0x1.47816a2000000p-24"),
+            (8, 1.0, 19, "1306358d48f8cf0a", "ac6e98bc5e63c4b6", "d86e092451597f93", "0x1.47816a2000000p-24"),
+            (8, 1.7, 19, "1306358d48f8cf0a", "ac6e98bc5e63c4b6", "8ae3517b7c0b3e32", "0x1.47816a2000000p-24"),
+        ],
+    )
+    def test_frozen_table(self, delta, radius, k, zeros, coeffs, rates, floor):
+        cache = SpectralSeriesCache(BesselIndex(delta), radius=radius)
+        assert cache.k == cache.terms_needed(cache.t_min) == k
+        assert (sha(cache.zeros), sha(cache.coeffs), sha(cache.rates)) == (zeros, coeffs, rates)
+        assert cache.cdf_floor.hex() == floor
+
+    def test_arrays_are_read_only(self):
         cache = SpectralSeriesCache(BesselIndex(3), radius=1.0)
-        failures = []
+        for arr in (cache.zeros, cache.coeffs, cache.rates):
+            assert len(arr) == cache.k
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
-        def reader(seed):
-            for k in RngStream(seed, 0).generator.integers(1, 64, 40):
-                zeros, coeffs, rates = cache.terms(int(k))
-                if not len(zeros) == len(coeffs) == len(rates) == k:
-                    failures.append(k)
+    def test_raises_past_term_cap(self, monkeypatch):
+        monkeypatch.setattr(bessel_hitting, "K_MAX", 16)  # the unit disk needs 19 terms
+        with pytest.raises(SeriesTruncationError, match="K_MAX=16"):
+            SpectralSeriesCache(BesselIndex(2), radius=1.0)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=reader, args=(s,)) for s in range(6)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads)
-        assert failures == []
+    def test_later_times_need_no_more_terms(self):
+        cache = SpectralSeriesCache(BesselIndex(5), radius=1.0)
+        needed = [cache.terms_needed(t) for t in np.geomspace(cache.t_min, 50.0, 200)]
+        assert needed[0] == cache.k and all(a >= b for a, b in zip(needed, needed[1:]))
 
 
 class TestFrozenInversionOutput:

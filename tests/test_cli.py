@@ -65,7 +65,7 @@ class TestErrorReporting:
         self.assert_one_line_error(capsys, code, "x0 must lie strictly inside the domain")
 
     def test_inversion_failure(self, monkeypatch, capsys):
-        def fail(u, cache, config=None):
+        def fail(u, cache):
             raise InversionError("failed to bracket quantile", (0.02, 0.04))
 
         monkeypatch.setattr("exitwalk.walkers.invert_cdf_batch", fail)
@@ -97,6 +97,25 @@ class TestErrorReporting:
         path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", math.nan))
         code = run_cli("run", "--method", "wos-table", "--n", "10", "--table", str(path))
         self.assert_one_line_error(capsys, code, "all table samples must be finite and positive")
+
+    @pytest.mark.parametrize(
+        "boundary, L, beta, fragment",
+        [
+            ("level", "nan", "0", "level must be positive and finite"),
+            ("level", "inf", "0", "level must be positive and finite"),
+            ("line", "1", "nan", "slope must be >= 0 and finite"),
+            ("general-demo", "nan", "0", "boundary must start finite"),
+        ],
+    )
+    def test_non_finite_pdf1d_boundary(self, tmp_path, capsys, boundary, L, beta, fragment):
+        # these wrote a CSV of NaN rows and exited 0
+        out = tmp_path / "pdf.csv"
+        code = run_cli(
+            "pdf1d", "--boundary", boundary, "--L", L, "--beta", beta,
+            "--terms", "2", "--grid", "64", "--out", str(out),
+        )
+        self.assert_one_line_error(capsys, code, fragment)
+        assert not out.exists()
 
 
 class TestStepsCommand:

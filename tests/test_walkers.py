@@ -8,7 +8,7 @@ from scipy import stats
 
 from exitwalk.specfun import BesselIndex
 from exitwalk.samplers import RngStream, sample_tau_psi, sample_unit_direction
-from exitwalk.bessel_hitting import MovingBoundary, SpectralSeriesCache, invert_cdf, psi
+from exitwalk.bessel_hitting import MovingBoundary, SpectralSeriesCache, invert_cdf_batch, psi
 from exitwalk.walkers import (
     BatchResult,
     SphereDomain,
@@ -78,7 +78,7 @@ def _inscribed_step(cache=None):
         if cache is None:
             return x, 0.0
         u = float(np.clip(rng.generator.random(), 1e-300, np.nextafter(1.0, 0.0)))
-        return x, r * r * invert_cdf(u, cache)
+        return x, r * r * invert_cdf_batch(np.array([u]), cache)[0]
 
     return step
 
