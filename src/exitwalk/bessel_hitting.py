@@ -315,7 +315,7 @@ def invert_cdf_batch(u: np.ndarray, cache: SpectralSeriesCache) -> np.ndarray:
     disk) are resolved with the small-time one-sided approximation because
     the series itself is refused there.
     """
-    u = np.asarray(u, dtype=float)
+    u = np.atleast_1d(np.asarray(u, dtype=float))  # a scalar u gives one row
     if not np.all((u > 0.0) & (u < 1.0)):  # also refuses NaN
         raise ValueError("all quantiles must lie in (0, 1)")
     L = cache.radius

@@ -285,6 +285,10 @@ class TestInvertCdf:
         direct = invert_cdf_batch(u2, other)
         assert stats.ks_2samp(scaled, direct).statistic < 0.002
 
+    def test_scalar_quantile_is_one_row(self, cache):
+        # numpy refused the 0-d array with "Calling nonzero on 0d arrays"
+        assert np.array_equal(invert_cdf_batch(0.3, cache), invert_cdf_batch(np.array([0.3]), cache))
+
     def test_tiny_quantile_uses_small_time_law(self, cache):
         t = invert_cdf_batch(np.array([1e-13]), cache)[0]
         assert 0.0 < t < cache.t_min
