@@ -56,8 +56,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 class Boundary1D:
     """A one-sided moving boundary psi with its derivative.
 
-    kind is "constant", "line" or "general".  psi(0+) must be positive:
-    the walker starts strictly below the boundary.
+    kind is "constant", "line" or "general".  psi(0+) must be positive and
+    finite: the walker starts strictly below the boundary.
     """
 
     psi: Callable[[float], float]
