@@ -9,7 +9,6 @@ from .specfun import BesselIndex, bessel_i, bessel_j, bessel_zero, log_gamma
 from .samplers import (
     RNG_ALGORITHM,
     RngStream,
-    sample_gaussian,
     sample_inverse_gaussian,
     sample_tau_psi,
     sample_unit_direction,
@@ -50,8 +49,8 @@ from .harness import (
     RunStatistics,
     fit_loglinear,
     run_experiment,
-    step_scaling_experiment,
-    timing_experiment,
+    sweep,
+    sweep_fit,
 )
 
 __version__ = "0.1.0"

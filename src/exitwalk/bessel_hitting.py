@@ -151,7 +151,6 @@ class SpectralSeriesCache:
         self.index = index
         self.radius = float(radius)
         self.t_min = 0.02 * radius * radius
-        self.clamp_count = 0
         nu = index.nu
         prefactor = math.exp(-(nu - 1.0) * math.log(2.0) - log_gamma(nu + 1.0))
         zeros: list[float] = []
@@ -241,11 +240,7 @@ def tail_spectral(t: float, cache: SpectralSeriesCache) -> float:
     """
     k = cache.terms_needed(t)
     tail, _ = cache.series_eval(t, k)
-    value = float(tail[0])
-    if value < 0.0 or value > 1.0:
-        cache.clamp_count += 1
-        value = min(1.0, max(0.0, value))
-    return value
+    return min(1.0, max(0.0, float(tail[0])))
 
 
 def laplace_transform(lam: float, x: float, L: float, index: BesselIndex) -> float:

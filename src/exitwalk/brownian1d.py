@@ -87,8 +87,8 @@ class Boundary1D:
 
 def level_hitting_pdf(t, L: float):
     """Density of the first passage of level L: L exp(-L^2/2t) / sqrt(2 pi t^3)."""
-    if L <= 0:
-        raise ValueError(f"L must be positive, got {L}")
+    if not (math.isfinite(L) and L > 0):
+        raise ValueError(f"L must be positive and finite, got {L}")
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0):
         raise ValueError("t must be positive")
@@ -98,8 +98,8 @@ def level_hitting_pdf(t, L: float):
 
 def sample_level_hitting(L: float, rng: RngStream, size=None):
     """Passage time of level L, sampled as L^2 / G^2."""
-    if L <= 0:
-        raise ValueError(f"L must be positive, got {L}")
+    if not (math.isfinite(L) and L > 0):
+        raise ValueError(f"L must be positive and finite, got {L}")
     n = 1 if size is None else size
     g = rng.generator.standard_normal(n)
     while np.any(g == 0.0):
@@ -111,10 +111,10 @@ def sample_level_hitting(L: float, rng: RngStream, size=None):
 
 def line_hitting_pdf(t, L: float, beta: float):
     """Bachelier-Levy density for the line L + beta t (defective for beta > 0)."""
-    if L <= 0:
-        raise ValueError(f"L must be positive, got {L}")
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    if not (math.isfinite(L) and L > 0):
+        raise ValueError(f"L must be positive and finite, got {L}")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be >= 0 and finite, got {beta}")
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0):
         raise ValueError("t must be positive")
@@ -128,10 +128,10 @@ def sample_line_hitting(L: float, beta: float, rng: RngStream, size=None):
     Conditionally on hitting, the law is inverse Gaussian with mean L/beta
     and shape L^2; beta = 0 reduces to the plain level-hitting sampler.
     """
-    if L <= 0:
-        raise ValueError(f"L must be positive, got {L}")
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    if not (math.isfinite(L) and L > 0):
+        raise ValueError(f"L must be positive and finite, got {L}")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be >= 0 and finite, got {beta}")
     if beta == 0.0:
         return sample_level_hitting(L, rng, size=size)
     n = 1 if size is None else size

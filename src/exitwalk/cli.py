@@ -23,8 +23,8 @@ from .harness import (
     format_real,
     run_experiment,
     run_result_document,
-    step_scaling_experiment,
-    timing_experiment,
+    sweep,
+    sweep_fit,
     write_csv,
     write_json,
 )
@@ -95,6 +95,19 @@ def _config_from_args(args, method: str, epsilon: float) -> ExperimentConfig:
     )
 
 
+def _print_fit(label: str, key: str, fit) -> None:
+    print(
+        f"{label}: {key} = {format_real(fit.intercept)} + "
+        f"{format_real(fit.slope)} * |ln eps| (r^2 = {format_real(fit.r_squared)})"
+    )
+
+
+def _fit_fields(fit) -> dict | None:
+    if fit is None:
+        return None
+    return {"intercept": fit.intercept, "slope": fit.slope, "r_squared": fit.r_squared}
+
+
 def _cmd_run(args) -> int:
     config = _config_from_args(args, args.method.replace("-", "_"), args.eps)
     stats = run_experiment(config)
@@ -105,26 +118,13 @@ def _cmd_run(args) -> int:
     )
     print(f"mean_steps={format_real(stats.mean_steps)} var_steps={format_real(stats.var_steps)}")
     print(f"wall_seconds={stats.wall_seconds:.3f}")
-    if stats.dirichlet_estimates:
-        for name, (mean, ci) in stats.dirichlet_estimates.items():
-            print(f"dirichlet[{name}]={format_real(mean)} ci95={format_real(ci)}")
+    for name, (mean, ci) in stats.dirichlet_estimates.items():
+        print(f"dirichlet[{name}]={format_real(mean)} ci95={format_real(ci)}")
     if args.json:
         write_json(args.json, run_result_document(config, stats))
     if args.csv:
-        write_csv(
-            args.csv,
-            ["n", "mean_time", "var_time", "ci95_time", "mean_steps", "var_steps"],
-            [
-                (
-                    stats.n,
-                    stats.mean_time,
-                    stats.var_time,
-                    stats.ci95_time,
-                    stats.mean_steps,
-                    stats.var_steps,
-                )
-            ],
-        )
+        header = ["n", "mean_time", "var_time", "ci95_time", "mean_steps", "var_steps"]
+        write_csv(args.csv, header, [[getattr(stats, name) for name in header]])
     return 0
 
 
@@ -132,20 +132,14 @@ def _cmd_steps(args) -> int:
     method = args.method.replace("-", "_")
     base = _config_from_args(args, method, args.eps_list[0])
     table = read_table(args.table) if args.table else None
-    sweep = step_scaling_experiment(method, base, args.eps_list, table=table)
+    if len(args.eps_list) < 3:
+        raise ValueError("need at least 3 epsilon values")
+    rows = sweep([method], base, args.eps_list, table=table)
+    fit = sweep_fit(rows, method, "mean_steps")
     header = ["eps", "abs_ln_eps", "mean_steps", "ci95"]
-    rows = [(r["eps"], r["abs_ln_eps"], r["mean_steps"], r["ci95"]) for r in sweep.rows]
-    if args.csv:
-        write_csv(args.csv, header, rows)
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(format_real(c) for c in row))
-    fit = sweep.fit
-    print(
-        f"fit: mean_steps = {format_real(fit.intercept)} + "
-        f"{format_real(fit.slope)} * |ln eps| (r^2 = {format_real(fit.r_squared)})"
-    )
+    rows = [{name: r[name] for name in header} for r in rows]
+    write_csv(args.csv, header, [[r[name] for name in header] for r in rows])
+    _print_fit("fit", "mean_steps", fit)
     if args.json:
         write_json(
             args.json,
@@ -156,12 +150,8 @@ def _cmd_steps(args) -> int:
                 "method": args.method,
                 "config": asdict(base),
                 "eps_list": args.eps_list,
-                "rows": list(sweep.rows),
-                "fit": {
-                    "intercept": fit.intercept,
-                    "slope": fit.slope,
-                    "r_squared": fit.r_squared,
-                },
+                "rows": rows,
+                "fit": _fit_fields(fit),
             },
         )
     return 0
@@ -170,24 +160,19 @@ def _cmd_steps(args) -> int:
 def _cmd_timing(args) -> int:
     base = _config_from_args(args, args.methods[0], args.eps_list[0])
     table = read_table(args.table) if args.table else None
-    rows, fits = timing_experiment(args.methods, base, args.eps_list, table=table)
+    rows = sweep(args.methods, base, args.eps_list, table=table)
+    fits = {
+        m.replace("_", "-"): sweep_fit(rows, m, "seconds") if len(args.eps_list) >= 3 else None
+        for m in args.methods
+    }
+    header = ["method", "eps", "abs_ln_eps", "seconds"]
+    rows = [{name: r[name] for name in header} for r in rows]
     for row in rows:
         row["method"] = row["method"].replace("_", "-")
-    fits = {m.replace("_", "-"): f for m, f in fits.items()}
-    header = ["method", "eps", "abs_ln_eps", "seconds"]
-    csv_rows = [(r["method"], r["eps"], r["abs_ln_eps"], r["seconds"]) for r in rows]
-    if args.csv:
-        write_csv(args.csv, header, csv_rows)
-    else:
-        print(",".join(header))
-        for row in csv_rows:
-            print(row[0] + "," + ",".join(format_real(c) for c in row[1:]))
+    write_csv(args.csv, header, [[r[name] for name in header] for r in rows])
     for method, fit in fits.items():
         if fit is not None:
-            print(
-                f"{method}: seconds = {format_real(fit.intercept)} + "
-                f"{format_real(fit.slope)} * |ln eps| (r^2 = {format_real(fit.r_squared)})"
-            )
+            _print_fit(method, "seconds", fit)
     if args.json:
         write_json(
             args.json,
@@ -198,14 +183,7 @@ def _cmd_timing(args) -> int:
                 "config": asdict(base),
                 "eps_list": args.eps_list,
                 "rows": rows,
-                "fits": {
-                    m: (
-                        None
-                        if f is None
-                        else {"intercept": f.intercept, "slope": f.slope, "r_squared": f.r_squared}
-                    )
-                    for m, f in fits.items()
-                },
+                "fits": {m: _fit_fields(f) for m, f in fits.items()},
             },
         )
     return 0

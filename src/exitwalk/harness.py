@@ -7,6 +7,11 @@ configuration, never on scheduling: per-worker moment partials
 update.  Wall-clock time is measured around the trajectory loop only and
 reported to the caller but kept out of the JSON result file, which is
 bit-reproducible for a fixed configuration.
+
+`sweep` runs each method at each epsilon and gives one row per pair with
+its mean step count and wall seconds; `sweep_fit` fits one column of one
+method's rows against |ln eps|.  The step-count and timing studies are
+both built from these two.
 """
 
 from __future__ import annotations
@@ -15,8 +20,10 @@ import json
 import math
 import os
 import subprocess
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
@@ -39,10 +46,9 @@ __all__ = [
     "ExperimentConfig",
     "RunStatistics",
     "FitResult",
-    "SweepResult",
     "run_experiment",
-    "step_scaling_experiment",
-    "timing_experiment",
+    "sweep",
+    "sweep_fit",
     "fit_loglinear",
     "harmonic_functions",
     "run_result_document",
@@ -107,7 +113,7 @@ class RunStatistics:
     mean_steps: float
     var_steps: float
     wall_seconds: float
-    dirichlet_estimates: dict[str, tuple[float, float]] | None = None
+    dirichlet_estimates: dict[str, tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -118,12 +124,6 @@ class FitResult:
     slope: float
     r_squared: float
     points: tuple[tuple[float, float], ...]
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    fit: FitResult
-    rows: tuple[dict, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -282,64 +282,41 @@ def fit_loglinear(points) -> FitResult:
     return FitResult(intercept=intercept, slope=slope, r_squared=r_squared, points=tuple(pts))
 
 
-def step_scaling_experiment(
-    method: str, base_config: ExperimentConfig, epsilons, table: Tau1Table | None = None
-) -> SweepResult:
-    """Mean step count per epsilon, fitted as a + b |ln eps|."""
-    epsilons = [float(e) for e in epsilons]
-    if len(epsilons) < 3:
-        raise ValueError("need at least 3 epsilon values")
-    rows = []
-    points = []
-    for eps in epsilons:
-        config = replace(base_config, method=method, epsilon=eps)
-        stats = run_experiment(config, table=table)
-        x = abs(math.log(eps))
-        ci95_steps = 1.96 * math.sqrt(stats.var_steps / stats.n) if stats.n else 0.0
-        rows.append(
-            {
-                "eps": eps,
-                "abs_ln_eps": x,
-                "mean_steps": stats.mean_steps,
-                "ci95": ci95_steps,
-            }
-        )
-        points.append((x, stats.mean_steps))
-    return SweepResult(fit=fit_loglinear(points), rows=tuple(rows))
+def sweep(
+    methods, base_config: ExperimentConfig, epsilons, table: Tau1Table | None = None, repeats: int = 1
+) -> list[dict]:
+    """One row per (method, epsilon), methods outermost.
 
-
-def timing_experiment(
-    methods,
-    base_config: ExperimentConfig,
-    epsilons,
-    table: Tau1Table | None = None,
-    repeats: int = 1,
-):
-    """Wall seconds per (method, epsilon); per-method fit when >= 3 epsilons.
-
-    Each point is the minimum wall time over `repeats` identical runs
-    (scheduler noise only ever adds time, so the minimum is the robust
-    cost estimate for sub-second points).  Returns (rows, fits): rows are
-    dicts with method/eps/abs_ln_eps/seconds, fits maps method ->
-    FitResult or None.
+    Each row holds method, eps, abs_ln_eps, mean_steps, its ci95 and
+    seconds, the minimum wall time over `repeats` identical runs (scheduler
+    noise only ever adds time, so the minimum is the robust cost estimate
+    for sub-second points).  A run depends only on its configuration, so
+    its statistics are the same in every repeat.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    epsilons = [float(e) for e in epsilons]
     rows = []
-    fits: dict[str, FitResult | None] = {}
     for method in methods:
-        points = []
         for eps in epsilons:
-            config = replace(base_config, method=method, epsilon=eps)
-            seconds = min(
-                run_experiment(config, table=table).wall_seconds for _ in range(repeats)
+            config = replace(base_config, method=method, epsilon=float(eps))
+            runs = [run_experiment(config, table=table) for _ in range(repeats)]
+            stats = runs[0]
+            rows.append(
+                {
+                    "method": method,
+                    "eps": config.epsilon,
+                    "abs_ln_eps": abs(math.log(config.epsilon)),
+                    "mean_steps": stats.mean_steps,
+                    "ci95": 1.96 * math.sqrt(stats.var_steps / stats.n) if stats.n else 0.0,
+                    "seconds": min(run.wall_seconds for run in runs),
+                }
             )
-            x = abs(math.log(eps))
-            rows.append({"method": method, "eps": eps, "abs_ln_eps": x, "seconds": seconds})
-            points.append((x, seconds))
-        fits[method] = fit_loglinear(points) if len(points) >= 3 else None
-    return rows, fits
+    return rows
+
+
+def sweep_fit(rows, method: str, key: str) -> FitResult:
+    """Line a + b |ln eps| through row[key] over one method's sweep rows."""
+    return fit_loglinear((r["abs_ln_eps"], r[key]) for r in rows if r["method"] == method)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +358,7 @@ def run_result_document(config: ExperimentConfig, stats: RunStatistics) -> dict:
             "var_steps": stats.var_steps,
             "dirichlet": {
                 name: {"mean": mean, "ci95": ci}
-                for name, (mean, ci) in (stats.dirichlet_estimates or {}).items()
+                for name, (mean, ci) in stats.dirichlet_estimates.items()
             },
         },
     }
@@ -398,8 +375,11 @@ def format_real(value) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    """Comma-separated with a header row; reals carry 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Comma-separated with a header row, to stdout when path is None.
+
+    Reals carry 17 significant digits.
+    """
+    with open(path, "w", encoding="utf-8") if path is not None else nullcontext(sys.stdout) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             cells = [

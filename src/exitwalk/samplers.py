@@ -23,7 +23,6 @@ from .specfun import BesselIndex
 __all__ = [
     "RNG_ALGORITHM",
     "RngStream",
-    "sample_gaussian",
     "sample_unit_direction",
     "sample_tau_psi",
     "sample_inverse_gaussian",
@@ -50,12 +49,6 @@ class RngStream:
                 raise ValueError(f"{name} must fit in 64 bits, got {value}")
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self.generator = np.random.Generator(np.random.Philox(key=key))
-
-
-def sample_gaussian(rng: RngStream, size=None):
-    """Standard normal variate(s)."""
-    out = rng.generator.standard_normal(size)
-    return float(out) if size is None else out
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -134,10 +127,10 @@ def sample_inverse_gaussian(mu: float, lam: float, rng: RngStream, size=None):
     One Gaussian and one uniform per draw: the transformation-with-roots
     generator (Michael, Schucany, Haas).
     """
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    if not (math.isfinite(mu) and mu > 0):
+        raise ValueError(f"mu must be positive and finite, got {mu}")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
     n = 1 if size is None else size
     g = rng.generator.standard_normal(n)
     v = g * g

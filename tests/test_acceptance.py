@@ -37,8 +37,8 @@ from exitwalk.harness import (
     ExperimentConfig,
     run_experiment,
     run_result_document,
-    step_scaling_experiment,
-    timing_experiment,
+    sweep,
+    sweep_fit,
     write_json,
 )
 from exitwalk.walkers import precompute_table, read_table, write_table
@@ -90,11 +90,13 @@ def step_sweeps():
     base = ExperimentConfig(
         method="woms", x0=X0, epsilon=EPS, trajectories=10**5, seed=4242, workers=1
     )
-    woms = step_scaling_experiment("woms", base, EPS_SWEEP)
     # the step-count chain of the classical walk is the same for every
     # exit-time mode, so the cheap position-only walker carries the sweep
-    wos = step_scaling_experiment("wos_position", base, EPS_SWEEP)
-    return {"woms": woms, "wos": wos}
+    rows = sweep(["woms", "wos_position"], base, EPS_SWEEP)
+    return {
+        "woms": sweep_fit(rows, "woms", "mean_steps"),
+        "wos": sweep_fit(rows, "wos_position", "mean_steps"),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -110,10 +112,9 @@ def timing_curves(unit_disk_table, table_path):
     )
     # min-of-3 per point: sub-second wall times on a shared box carry
     # one-sided scheduler noise that a single sample can't shake off
-    rows, fits = timing_experiment(
-        ["wos_table", "woms", "wos_inversion"], base, EPS_SWEEP, table=unit_disk_table, repeats=3
-    )
-    return fits
+    methods = ["wos_table", "woms", "wos_inversion"]
+    rows = sweep(methods, base, EPS_SWEEP, table=unit_disk_table, repeats=3)
+    return {m: sweep_fit(rows, m, "seconds") for m in methods}
 
 
 def test_criterion_01_mean_exit_time(big_runs):
@@ -125,8 +126,8 @@ def test_criterion_01_mean_exit_time(big_runs):
 
 
 def test_criterion_02_step_count_scaling(step_sweeps):
-    woms_fit = step_sweeps["woms"].fit
-    wos_fit = step_sweeps["wos"].fit
+    woms_fit = step_sweeps["woms"]
+    wos_fit = step_sweeps["wos"]
     ok = (
         abs(woms_fit.slope - 3.41) <= 0.15 * 3.41
         and abs(wos_fit.slope - 1.44) <= 0.15 * 1.44
@@ -143,7 +144,7 @@ def test_criterion_02_step_count_scaling(step_sweeps):
 def test_step_fit_intercept_example(step_sweeps):
     # companion check to criterion 2: the fitted intercept lands near the
     # published -3.84 for the moving-spheres walker
-    intercept = step_sweeps["woms"].fit.intercept
+    intercept = step_sweeps["woms"].intercept
     assert abs(intercept - (-3.84)) < 1.0, f"woms intercept {intercept:.3f}"
 
 

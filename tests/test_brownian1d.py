@@ -232,3 +232,36 @@ class TestBoundaryValidation:
     def test_line_requires_positive_level(self):
         with pytest.raises(ValueError):
             Boundary1D.line(0.0, 1.0)
+
+
+NAN, INF = math.nan, math.inf
+LINE_CASES = [
+    (NAN, 1.0, "L must be positive and finite"),
+    (INF, 1.0, "L must be positive and finite"),
+    (1.0, NAN, "beta must be >= 0 and finite"),
+    (1.0, INF, "beta must be >= 0 and finite"),
+]
+
+
+class TestNonFiniteParameters:
+    """Each of these returned NaN, or all-NEVER draws, instead of failing."""
+
+    @pytest.mark.parametrize("L", [NAN, INF, -INF])
+    def test_level_hitting_pdf(self, L):
+        with pytest.raises(ValueError, match="L must be positive and finite"):
+            level_hitting_pdf(1.0, L)
+
+    @pytest.mark.parametrize("L", [NAN, INF])
+    def test_sample_level_hitting(self, L):
+        with pytest.raises(ValueError, match="L must be positive and finite"):
+            sample_level_hitting(L, RngStream(1), 3)
+
+    @pytest.mark.parametrize("L, beta, fragment", LINE_CASES)
+    def test_line_hitting_pdf(self, L, beta, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            line_hitting_pdf(1.0, L, beta)
+
+    @pytest.mark.parametrize("L, beta, fragment", LINE_CASES)
+    def test_sample_line_hitting(self, L, beta, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            sample_line_hitting(L, beta, RngStream(1), 2)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import struct
@@ -118,7 +119,34 @@ class TestErrorReporting:
         assert not out.exists()
 
 
+# SHA-256 of the `steps` document (build id dropped) and of its stdout for
+# STEPS_FROZEN_ARGS, captured before the step-count and timing studies were
+# folded into harness.sweep.
+STEPS_FROZEN_ARGS = (
+    "steps", "--method", "wos-position", "--eps-list", "1e-2,1e-3,1e-4",
+    "--n", "3000", "--seed", "5", "--workers", "2",
+)
+STEPS_FROZEN_DOCUMENT = "9e2b8595223456be7fabc3f7f912dde3076625e0c30b568b53e5fd5ed90fad9a"
+STEPS_FROZEN_STDOUT = "d1df6743aa01093bd45e821c5ec0fe251ed4015b37048801bf181624550a79e6"
+
+
 class TestStepsCommand:
+    def test_frozen_document_and_stdout(self, tmp_path, capsys):
+        path = tmp_path / "steps.json"
+        assert run_cli(*STEPS_FROZEN_ARGS, "--json", str(path)) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(path.read_text())
+        del doc["build"]
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == STEPS_FROZEN_DOCUMENT
+        assert hashlib.sha256(out.encode()).hexdigest() == STEPS_FROZEN_STDOUT
+
+    def test_step_scaling_needs_three_epsilons(self, capsys):
+        code = run_cli("steps", "--method", "woms", "--eps-list", "1e-2,1e-3", "--n", "10")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "exitwalk: error: need at least 3 epsilon values\n"
+
     def test_steps_csv_columns(self, tmp_path, capsys):
         csv_path = tmp_path / "steps.csv"
         json_path = tmp_path / "steps.json"
@@ -148,6 +176,38 @@ class TestTimingCommand:
         assert lines[0] == "method,eps,abs_ln_eps,seconds"
         assert len(lines) == 5
         assert lines[1].startswith("woms,")
+
+    def test_document_below_three_epsilons(self, tmp_path, capsys):
+        path = tmp_path / "timing.json"
+        code = run_cli(
+            "timing", "--methods", "woms,wos-position", "--eps-list", "1e-2,1e-3",
+            "--n", "500", "--seed", "5", "--json", str(path),
+        )
+        assert code == 0
+        assert ": seconds = " not in capsys.readouterr().out
+        doc = json.loads(path.read_text())
+        assert set(doc) == {"schema", "build", "rng", "config", "eps_list", "rows", "fits"}
+        assert doc["schema"] == "exitwalk-timing-v1"
+        assert doc["fits"] == {"woms": None, "wos-position": None}
+        assert all(row.pop("seconds") > 0.0 for row in doc["rows"])
+        assert doc["rows"] == [
+            {"method": m, "eps": e, "abs_ln_eps": abs(math.log(e))}
+            for m in ("woms", "wos-position")
+            for e in (1e-2, 1e-3)
+        ]
+
+    def test_fits_from_three_epsilons(self, tmp_path, capsys):
+        path = tmp_path / "timing.json"
+        code = run_cli(
+            "timing", "--methods", "woms,wos-position", "--eps-list", "1e-2,1e-3,1e-4",
+            "--n", "500", "--seed", "5", "--json", str(path),
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "method,eps,abs_ln_eps,seconds"
+        assert [line.split(":")[0] for line in lines[7:]] == ["woms", "wos-position"]
+        fits = json.loads(path.read_text())["fits"]
+        assert all(set(f) == {"intercept", "slope", "r_squared"} for f in fits.values())
 
     def test_rejects_unknown_method(self):
         with pytest.raises(SystemExit):

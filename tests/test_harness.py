@@ -15,8 +15,8 @@ from exitwalk.harness import (
     harmonic_functions,
     run_experiment,
     run_result_document,
-    step_scaling_experiment,
-    timing_experiment,
+    sweep,
+    sweep_fit,
     write_csv,
     write_json,
 )
@@ -226,22 +226,32 @@ class TestHarmonicRegistry:
 class TestSweeps:
     def test_step_scaling_small(self):
         base = small_config(trajectories=3000)
-        sweep = step_scaling_experiment("woms", base, [1e-2, 1e-3, 1e-4])
-        assert len(sweep.rows) == 3
-        assert sweep.fit.slope > 0.0
-        assert [r["eps"] for r in sweep.rows] == [1e-2, 1e-3, 1e-4]
-        for row in sweep.rows:
+        rows = sweep(["woms"], base, [1e-2, 1e-3, 1e-4])
+        assert len(rows) == 3
+        assert sweep_fit(rows, "woms", "mean_steps").slope > 0.0
+        assert [r["eps"] for r in rows] == [1e-2, 1e-3, 1e-4]
+        for row in rows:
             assert row["abs_ln_eps"] == pytest.approx(abs(math.log(row["eps"])))
 
-    def test_step_scaling_needs_three_epsilons(self):
-        with pytest.raises(ValueError):
-            step_scaling_experiment("woms", small_config(), [1e-2, 1e-3])
-
     def test_timing_single_point_no_fit(self):
-        rows, fits = timing_experiment(["woms"], small_config(trajectories=2000), [1e-3])
+        rows = sweep(["woms"], small_config(trajectories=2000), [1e-3])
         assert len(rows) == 1
-        assert fits["woms"] is None
         assert rows[0]["seconds"] > 0.0
+        with pytest.raises(ValueError):
+            sweep_fit(rows, "woms", "seconds")
+
+    def test_repeats_change_only_seconds(self):
+        base = small_config(trajectories=2000)
+        methods, epsilons = ["woms", "wos_position"], [1e-2, 1e-3]
+        once = sweep(methods, base, epsilons)
+        thrice = sweep(methods, base, epsilons, repeats=3)
+        assert [r["method"] for r in once] == ["woms", "woms", "wos_position", "wos_position"]
+        assert all(r.pop("seconds") > 0.0 for r in once + thrice)
+        assert once == thrice
+
+    def test_rejects_zero_repeats(self):
+        with pytest.raises(ValueError, match="repeats must be >= 1"):
+            sweep(["woms"], small_config(trajectories=10), [1e-3], repeats=0)
 
 
 class TestResultFiles:

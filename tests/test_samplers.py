@@ -9,7 +9,6 @@ from scipy import integrate
 from exitwalk.specfun import BesselIndex
 from exitwalk.samplers import (
     RngStream,
-    sample_gaussian,
     sample_inverse_gaussian,
     sample_tau_psi,
     sample_unit_direction,
@@ -22,14 +21,14 @@ class TestRngStream:
     def test_identical_streams_replay(self):
         a = RngStream(seed=2024, stream_id=3)
         b = RngStream(seed=2024, stream_id=3)
-        draws_a = [sample_gaussian(a) for _ in range(100)]
-        draws_b = [sample_gaussian(b) for _ in range(100)]
+        draws_a = [a.generator.standard_normal() for _ in range(100)]
+        draws_b = [b.generator.standard_normal() for _ in range(100)]
         assert draws_a == draws_b
 
     def test_distinct_streams_differ(self):
         a = RngStream(seed=2024, stream_id=0)
         b = RngStream(seed=2024, stream_id=1)
-        assert sample_gaussian(a, size=16).tolist() != sample_gaussian(b, size=16).tolist()
+        assert a.generator.standard_normal(16).tolist() != b.generator.standard_normal(16).tolist()
 
     def test_seed_bounds(self):
         with pytest.raises(ValueError):
@@ -40,7 +39,7 @@ class TestRngStream:
 
 class TestGaussian:
     def test_moments(self):
-        x = sample_gaussian(RngStream(7), size=N_BIG)
+        x = RngStream(7).generator.standard_normal(N_BIG)
         assert abs(x.mean()) < 4e-3  # 3 sigma / sqrt(n) with sigma = 1
         assert abs(x.var() - 1.0) < 1e-2
 
@@ -147,7 +146,14 @@ class TestInverseGaussian:
         x = sample_inverse_gaussian(0.3, 0.7, RngStream(24), size=10**5)
         assert np.all(x > 0.0)
 
-    @pytest.mark.parametrize("mu,lam", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
+    @pytest.mark.parametrize(
+        "mu,lam",
+        [
+            (0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
+            # the non-finite ones returned NaN draws
+            (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+        ],
+    )
     def test_domain(self, mu, lam):
         with pytest.raises(ValueError):
             sample_inverse_gaussian(mu, lam, RngStream(1))
